@@ -19,11 +19,12 @@ Reports are plain dicts with stable keys so the CLI can serialize them.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+
+from sympy import isprime
 
 from .exactfield import (
     SignedPrimePower,
@@ -35,19 +36,15 @@ from .exactfield import (
 )
 from .charparams import (
     GlobalChar,
-    central_char,
+    GroupTable,
     count_ellprime,
     count_irr_sl,
     count_jordan_params,
-    degree,
     ellprime_structural,
-    enumerate_irr,
     global_relevant,
+    group_table,
     index_order,
-    is_ellprime,
     to_params,
-    zhat_act,
-    zhat_stab_order,
 )
 from .localside import (
     LocalChar,
@@ -58,8 +55,6 @@ from .localside import (
     local_ellprime,
     local_ellprime_structural,
     local_order,
-    local_relevant,
-    local_stab_order,
     local_zhat_act,
     torus_data,
     transport,
@@ -83,16 +78,31 @@ GRID_ELL = (2, 3, 5, 7)
 
 @dataclass(frozen=True, order=True)
 class Cell:
-    """One verification unit: the group GL_n(eps q) at the prime ell."""
+    """One verification unit: the group GL_n(eps q) at the prime ell.
+
+    Construction rejects cells on which the certificates are undefined:
+    n >= 1, eps in {+1, -1}, q a prime power and ell a prime not dividing q,
+    else ValueError.
+    """
 
     n: int
     eps: int
     q: int
     ell: int
+    sp: SignedPrimePower = field(init=False, compare=False, repr=False)
 
-    @property
-    def sp(self) -> SignedPrimePower:
-        return spp(self.eps, self.q)
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n={self.n} must be >= 1")
+        if self.eps not in (1, -1):
+            raise ValueError(f"eps={self.eps} must be +1 or -1")
+        sp = spp(self.eps, self.q)
+        if not isprime(self.ell):
+            raise ValueError(f"ell={self.ell} is not prime")
+        if sp.p == self.ell:
+            raise ValueError(
+                f"ell={self.ell} divides q={self.q}: the cell is undefined")
+        object.__setattr__(self, "sp", sp)
 
     @property
     def kind(self) -> str:
@@ -125,41 +135,202 @@ def local_to_params(psi: LocalChar) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# per-cell label data, computed once
+
+
+@dataclass(frozen=True, eq=False)
+class CellData:
+    """Label-level facts of one cell, computed once and read by every check.
+
+    The global side is the per-group table.  Local entry j describes
+    local[j]: its degree, translation stabilizer order, central label and
+    ltranslates[j][z], the position of local_zhat_act(local[j], ..., z).
+    pairs holds (i, j) when relevant global character i transports to local
+    character j; transport_errors holds (i, message) for the relevant global
+    characters without a local image.
+    """
+
+    cell: Cell
+    group: GroupTable
+    local: tuple
+    lindex: dict
+    ldegrees: tuple
+    lstabs: tuple
+    lcentrals: tuple
+    ltranslates: tuple
+    lrelevant: tuple
+    pairs: tuple
+    transport_errors: tuple
+
+
+def cell_data(cell: Cell) -> CellData:
+    n, sp, ell = cell.n, cell.sp, cell.ell
+    m1 = torus_data(n, sp, ell).m1
+    group = group_table(n, sp)
+    local = enumerate_local_irr(n, sp, ell)
+    lindex = {psi: j for j, psi in enumerate(local)}
+    ltranslates = tuple(
+        tuple(lindex[local_zhat_act(psi, n, sp, ell, z)] for z in range(m1))
+        for psi in local)
+    ldegrees = tuple(local_degree(psi, n, sp, ell) for psi in local)
+    lstabs = tuple(row.count(j) for j, row in enumerate(ltranslates))
+    # the relevance rule of local_relevant, on the stored facts
+    lrelevant = tuple(j for j, (d, t) in enumerate(zip(ldegrees, lstabs))
+                      if ell_val(d, ell) == ell_val(t, ell))
+    pairs, errors = [], []
+    for i, chi in enumerate(group.chars):
+        if not global_relevant(chi, n, sp, ell):
+            continue
+        try:
+            j = lindex.get(transport(chi, n, sp, ell))
+        except TransportError as exc:
+            errors.append((i, str(exc)))
+            continue
+        if j is None:
+            errors.append((i, "image is not a local character"))
+        else:
+            pairs.append((i, j))
+    return CellData(
+        cell=cell, group=group, local=local, lindex=lindex,
+        ldegrees=ldegrees, lstabs=lstabs,
+        lcentrals=tuple(local_central_label(psi, n, sp, ell) for psi in local),
+        ltranslates=ltranslates, lrelevant=lrelevant,
+        pairs=tuple(pairs), transport_errors=tuple(errors))
+
+
+# ---------------------------------------------------------------------------
+# the checks: functions of the cell data; each returns its verdict and
+# reports every failure through note(check, **payload)
+
+
+def check_bijective(data: CellData, note) -> bool:
+    """The pairing is a bijection onto the relevant local characters."""
+    for i, error in data.transport_errors:
+        note("transport", global_char=to_params(data.group.chars[i]),
+             error=error)
+    images = [j for _, j in data.pairs]
+    ok = (not data.transport_errors and len(set(images)) == len(images)
+          and set(images) == set(data.lrelevant))
+    if not ok and not data.transport_errors:
+        note("bijective", n_pairs=len(data.pairs), n_local=len(data.lrelevant))
+    return ok
+
+
+def check_central(data: CellData, note) -> bool:
+    """Paired characters have the same central character."""
+    ok = True
+    for i, j in data.pairs:
+        if data.group.centrals[i] != data.lcentrals[j]:
+            ok = False
+            note("central", global_char=to_params(data.group.chars[i]),
+                 local_char=local_to_params(data.local[j]))
+    return ok
+
+
+def check_zhat(data: CellData, note) -> bool:
+    """transport(zhat_act(chi, z)) == local_zhat_act(transport(chi), z).
+
+    The left side is read from the stored pairs, and transported afresh
+    when the translate has no stored image; every (chi, z) is evaluated.
+    """
+    cell, g = data.cell, data.group
+    image = dict(data.pairs)
+    ok = True
+    for z in range(torus_data(cell.n, cell.sp, cell.ell).m1):
+        for i, j in data.pairs:
+            t = g.translates[i][z]
+            try:
+                lhs = image[t] if t in image else data.lindex.get(
+                    transport(g.chars[t], cell.n, cell.sp, cell.ell))
+            except TransportError:
+                lhs = None
+            if lhs != data.ltranslates[j][z]:
+                ok = False
+                note("zhat", z=z, global_char=to_params(g.chars[i]))
+    return ok
+
+
+def check_in_congruence(data: CellData, note) -> bool:
+    """Constituent degrees satisfy r = +/- r' (mod ell) across each pair."""
+    g, ell = data.group, data.cell.ell
+    ok = True
+    for i, j in data.pairs:
+        r = g.degrees[i] // g.stabs[i]
+        rp = data.ldegrees[j] // data.lstabs[j]
+        if (r - rp) % ell != 0 and (r + rp) % ell != 0:
+            ok = False
+            note("in_congruence", r=r, r_prime=rp,
+                 global_char=to_params(g.chars[i]))
+    return ok
+
+
+def _jordan_ellprime(chi: GlobalChar, deg: int, n: int, sp: SignedPrimePower,
+                     ell: int) -> bool:
+    """ell-prime test via the Jordan factorization deg = index_{p'} * unipotent."""
+    idx = index_order(chi.cls, n, sp)
+    unip = deg // ell_part(idx, sp.p)[1]
+    return ell_val(idx, ell) == 0 and ell_val(unip, ell) == 0
+
+
+def check_ellprime(data: CellData, note) -> tuple[bool, int, int]:
+    """Direct, structural and Jordan ell-prime tests agree on both sides.
+
+    Returns the verdict and the ell-prime counts of the global and local
+    sides.
+    """
+    cell, g = data.cell, data.group
+    n, sp, ell = cell.n, cell.sp, cell.ell
+    ok = True
+    n_global = 0
+    for chi, deg in zip(g.chars, g.degrees):
+        direct = ell_val(deg, ell) == 0
+        n_global += direct
+        if (direct != ellprime_structural(chi, n, sp, ell)
+                or direct != _jordan_ellprime(chi, deg, n, sp, ell)):
+            ok = False
+            note("ellprime_equiv", side="global", global_char=to_params(chi))
+    n_local = 0
+    for psi, deg in zip(data.local, data.ldegrees):
+        direct = ell_val(deg, ell) == 0
+        n_local += direct
+        if direct != local_ellprime_structural(psi, n, sp, ell):
+            ok = False
+            note("ellprime_equiv", side="local",
+                 local_char=local_to_params(psi))
+    combinatorial = count_ellprime(n, sp, ell)
+    if n_global != combinatorial:
+        ok = False
+        note("ellprime_count", direct=n_global, combinatorial=combinatorial)
+    return ok, n_global, n_local
+
+
+def check_sum_squares(data: CellData, note) -> bool:
+    """Squared degrees sum to the group orders on both sides."""
+    cell = data.cell
+    sum_global = sum(d * d for d in data.group.degrees)
+    sum_local = sum(d * d for d in data.ldegrees)
+    ok = (sum_global == group_order(cell.n, cell.sp)
+          and sum_local == local_order(cell.n, cell.sp, cell.ell))
+    if not ok:
+        note("sum_squares", global_sum=sum_global, local_sum=sum_local)
+    return ok
+
+
+# ---------------------------------------------------------------------------
 # the pairing
 
 
 def omega_tilde(cell: Cell) -> tuple:
     """Pair each relevant global character with its local image.
 
-    Returns ((chi, psi), ...) sorted by chi.  Raises if the images fail to
-    exhaust the relevant local characters bijectively; callers that want a
-    soft failure should use check_cell instead.
+    Returns ((chi, psi), ...) in the order of enumerate_irr.  Raises if the
+    images fail to exhaust the relevant local characters bijectively;
+    callers that want a soft failure should use check_cell instead.
     """
-    n, sp, ell = cell.n, cell.sp, cell.ell
-    pairs = []
-    for chi in enumerate_irr(n, sp):
-        if not global_relevant(chi, n, sp, ell):
-            continue
-        pairs.append((chi, transport(chi, n, sp, ell)))
-    images = [psi for _, psi in pairs]
-    target = [psi for psi in enumerate_local_irr(n, sp, ell)
-              if local_relevant(psi, n, sp, ell)]
-    if len(set(images)) != len(images) or set(images) != set(target):
+    data = cell_data(cell)
+    if not check_bijective(data, lambda check, **payload: None):
         raise TransportError(f"pairing is not bijective on {cell.label()}")
-    return tuple(pairs)
-
-
-# ---------------------------------------------------------------------------
-# per-cell checks
-
-
-def _jordan_ellprime(chi: GlobalChar, n: int, sp: SignedPrimePower,
-                     ell: int) -> bool:
-    """ell-prime test via the Jordan factorization deg = index_{p'} * unipotent."""
-    idx = index_order(chi.cls, n, sp)
-    deg = degree(chi, n, sp)
-    unip = deg // ell_part(idx, sp.p)[1]
-    return ell_val(idx, ell) == 0 and ell_val(unip, ell) == 0
+    return tuple((data.group.chars[i], data.local[j]) for i, j in data.pairs)
 
 
 def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
@@ -173,9 +344,7 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
       witnesses, ms, status.
     """
     t0 = time.perf_counter()
-    n, sp, ell = cell.n, cell.sp, cell.ell
-    td = torus_data(n, sp, ell)
-    m1 = abs(sp.q - sp.eps)
+    n, sp = cell.n, cell.sp
 
     witnesses: list[dict] = []
 
@@ -183,77 +352,19 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
         if len(witnesses) < max_witnesses:
             witnesses.append({"check": kind, **payload})
 
-    global_chars = enumerate_irr(n, sp)
-    local_chars = enumerate_local_irr(n, sp, ell)
-
-    pairs = []
-    transport_ok = True
-    for chi in global_chars:
-        if not global_relevant(chi, n, sp, ell):
-            continue
-        try:
-            pairs.append((chi, transport(chi, n, sp, ell)))
-        except TransportError as exc:
-            transport_ok = False
-            note("transport", global_char=to_params(chi), error=str(exc))
-
-    images = [psi for _, psi in pairs]
-    relevant_local = [psi for psi in local_chars
-                      if local_relevant(psi, n, sp, ell)]
-    bijective = (transport_ok and len(set(images)) == len(images)
-                 and set(images) == set(relevant_local))
-    if not bijective and transport_ok:
-        note("bijective", n_pairs=len(pairs), n_local=len(relevant_local))
-
-    central = True
-    for chi, psi in pairs:
-        if central_char(chi, sp) != local_central_label(psi, n, sp, ell):
-            central = False
-            note("central", global_char=to_params(chi),
-                 local_char=local_to_params(psi))
-
-    zhat = True
-    for z in range(m1):
-        for chi, psi in pairs:
-            lhs = transport(zhat_act(chi, sp, z), n, sp, ell)
-            rhs = local_zhat_act(psi, n, sp, ell, z)
-            if lhs != rhs:
-                zhat = False
-                note("zhat", z=z, global_char=to_params(chi))
-    in_congruence = True
-    for chi, psi in pairs:
-        r = degree(chi, n, sp) // zhat_stab_order(chi, sp)
-        rp = local_degree(psi, n, sp, ell) // local_stab_order(psi, n, sp, ell)
-        if (r - rp) % ell != 0 and (r + rp) % ell != 0:
-            in_congruence = False
-            note("in_congruence", r=r, r_prime=rp, global_char=to_params(chi))
+    data = cell_data(cell)
+    bijective = check_bijective(data, note)
+    central = check_central(data, note)
+    zhat = check_zhat(data, note)
+    in_congruence = check_in_congruence(data, note)
 
     per_nu: dict[str, int] = {}
-    for chi, _ in pairs:
-        key = str(central_char(chi, sp))
+    for i, _ in data.pairs:
+        key = str(data.group.centrals[i])
         per_nu[key] = per_nu.get(key, 0) + 1
 
-    ellprime_equiv = True
-    n_ellprime_global = 0
-    for chi in global_chars:
-        direct = is_ellprime(chi, n, sp, ell)
-        n_ellprime_global += direct
-        if (direct != ellprime_structural(chi, n, sp, ell)
-                or direct != _jordan_ellprime(chi, n, sp, ell)):
-            ellprime_equiv = False
-            note("ellprime_equiv", side="global", global_char=to_params(chi))
-    n_ellprime_local = 0
-    for psi in local_chars:
-        direct = local_ellprime(psi, n, sp, ell)
-        n_ellprime_local += direct
-        if direct != local_ellprime_structural(psi, n, sp, ell):
-            ellprime_equiv = False
-            note("ellprime_equiv", side="local",
-                 local_char=local_to_params(psi))
-    if n_ellprime_global != count_ellprime(n, sp, ell):
-        ellprime_equiv = False
-        note("ellprime_count", direct=n_ellprime_global,
-             combinatorial=count_ellprime(n, sp, ell))
+    ellprime_equiv, n_ellprime_global, n_ellprime_local = check_ellprime(
+        data, note)
 
     mckay = n_ellprime_global == n_ellprime_local
     if not mckay:
@@ -265,12 +376,7 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
         note("jordan_eq", irr_sl=count_irr_sl(n, sp),
              jordan=count_jordan_params(n, sp))
 
-    sum_global = sum(degree(chi, n, sp) ** 2 for chi in global_chars)
-    sum_local = sum(local_degree(psi, n, sp, ell) ** 2 for psi in local_chars)
-    sum_squares = (sum_global == group_order(n, sp)
-                   and sum_local == local_order(n, sp, ell))
-    if not sum_squares:
-        note("sum_squares", global_sum=sum_global, local_sum=sum_local)
+    sum_squares = check_sum_squares(data, note)
 
     oracle = None
     oracle_detail = None
@@ -294,10 +400,10 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
     status = "ok" if all(v is not False for v in checks.values()) else "fail"
     return {
         "cell": cell.as_dict(),
-        "degenerate": td.a == 0,
+        "degenerate": torus_data(n, sp, cell.ell).a == 0,
         "counts": {
-            "global": len(pairs),
-            "local": len(relevant_local),
+            "global": len(data.pairs),
+            "local": len(data.lrelevant),
             "ellprime_global": n_ellprime_global,
             "ellprime_local": n_ellprime_local,
             "per_nu": dict(sorted(per_nu.items())),
@@ -457,7 +563,7 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
         return {"ok": None, "reason": "group order exceeds oracle limit"}
 
     G, table = oracle_table(cell.kind, n, cell.q)
-    want_deg = sorted(degree(chi, n, sp) for chi in enumerate_irr(n, sp))
+    want_deg = sorted(group_table(n, sp).degrees)
     got_deg = sorted(table.degrees)
     record("global_degrees", want_deg == got_deg,
            expected=want_deg, got=got_deg)

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
-from .exactfield import SignedPrimePower, ell_val, group_order, order_for_ell, spp
+from .exactfield import (
+    SignedPrimePower,
+    ell_val,
+    factor_field,
+    group_order,
+    order_for_ell,
+)
 from .partitions import e_core_quotient, generic_degree, partitions, wreath_degree
 from .ssclasses import (
     SSClass,
@@ -48,10 +54,6 @@ def enumerate_irr(n: int, sp: SignedPrimePower) -> tuple:
         for parts in iproduct(*(partitions(m) for m in mults)):
             out.append(GlobalChar(cls, parts))
     return tuple(out)
-
-
-def factor_field(k: int, sp: SignedPrimePower) -> SignedPrimePower:
-    return spp(sp.eps**k, sp.q**k)
 
 
 def index_order(cls: SSClass, n: int, sp: SignedPrimePower) -> int:
@@ -84,13 +86,44 @@ def zhat_act(chi: GlobalChar, sp: SignedPrimePower, z: int) -> GlobalChar:
     return GlobalChar(cls, tuple(lam for _, _, lam in decorated))
 
 
-def zhat_stab_order(chi: GlobalChar, sp: SignedPrimePower) -> int:
+@dataclass(frozen=True, eq=False)
+class GroupTable:
+    """Label-level facts of every irreducible character of one group.
+
+    Entry i describes chars[i]: its degree, central character, translation
+    stabilizer order, and translates[i][z], the position of
+    zhat_act(chars[i], sp, z) for z in Z/M_1.
+    """
+
+    chars: tuple
+    index: dict
+    degrees: tuple
+    centrals: tuple
+    translates: tuple
+    stabs: tuple
+
+
+@cache
+def group_table(n: int, sp: SignedPrimePower) -> GroupTable:
+    """The table of Irr(GL_n(eps q)), built once for the life of the process."""
+    chars = enumerate_irr(n, sp)
+    index = {chi: i for i, chi in enumerate(chars)}
     m1 = eigen_modulus(1, sp)
-    return sum(1 for z in range(m1) if zhat_act(chi, sp, z) == chi)
+    translates = tuple(tuple(index[zhat_act(chi, sp, z)] for z in range(m1))
+                       for chi in chars)
+    return GroupTable(
+        chars=chars,
+        index=index,
+        degrees=tuple(degree(chi, n, sp) for chi in chars),
+        centrals=tuple(central_char(chi, sp) for chi in chars),
+        translates=translates,
+        stabs=tuple(row.count(i) for i, row in enumerate(translates)),
+    )
 
 
 def is_ellprime(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
-    return ell_val(degree(chi, n, sp), ell) == 0
+    table = group_table(n, sp)
+    return ell_val(table.degrees[table.index[chi]], ell) == 0
 
 
 def count_ellprime(n: int, sp: SignedPrimePower, ell: int) -> int:
@@ -133,8 +166,9 @@ def global_relevant(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> 
     are ell-prime exactly when the valuations of degree and stabilizer
     order agree.
     """
-    v_deg = ell_val(degree(chi, n, sp), ell)
-    return v_deg == ell_val(zhat_stab_order(chi, sp), ell)
+    table = group_table(n, sp)
+    i = table.index[chi]
+    return ell_val(table.degrees[i], ell) == ell_val(table.stabs[i], ell)
 
 
 def _is_ell_power(x: int, ell: int) -> bool:
@@ -172,15 +206,14 @@ def count_irr_sl(n: int, sp: SignedPrimePower) -> int:
 
     Each translation orbit of size o contributes M_1/o constituents.
     """
-    m1 = eigen_modulus(1, sp)
     seen: set = set()
     total = 0
-    for chi in enumerate_irr(n, sp):
-        if chi in seen:
+    for i, row in enumerate(group_table(n, sp).translates):
+        if i in seen:
             continue
-        orbit = {zhat_act(chi, sp, z) for z in range(m1)}
+        orbit = set(row)
         seen.update(orbit)
-        total += m1 // len(orbit)
+        total += len(row) // len(orbit)
     return total
 
 
@@ -191,16 +224,17 @@ def count_jordan_params(n: int, sp: SignedPrimePower) -> int:
     A(s) on the attached multipartitions, the packet contributes the
     order of the stabilizer of the multipartition in A(s).
     """
+    table = group_table(n, sp)
     total = 0
     for orbit in pgl_ss_classes(n, sp):
         s = orbit[0]
         a = component_group(s, sp)
         seen: set = set()
         for parts in iproduct(*(partitions(m) for _, m in s.factors)):
-            chi = GlobalChar(s, parts)
-            if chi in seen:
+            i = table.index[GlobalChar(s, parts)]
+            if i in seen:
                 continue
-            sub_orbit = {zhat_act(chi, sp, z) for z in a}
+            sub_orbit = {table.translates[i][z] for z in a}
             seen.update(sub_orbit)
             total += len(a) // len(sub_orbit)
     return total

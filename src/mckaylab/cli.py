@@ -120,11 +120,10 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
     else:
         if n is None or q is None or ell is None:
             raise click.UsageError("need --n, --q and --ell (or --grid)")
-        cell = Cell(n, _parse_eps(eps), q, ell)
-        if cell.sp.p == ell:
-            raise click.UsageError(
-                f"ell={ell} divides q={q}: the cell is undefined")
-        cells = [cell]
+        try:
+            cells = [Cell(n, _parse_eps(eps), q, ell)]
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
 
     cells = sorted(cells)
     if workers > 1:

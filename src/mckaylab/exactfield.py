@@ -1,9 +1,8 @@
 """Exact arithmetic foundation.
 
 Small finite fields with deterministic defining polynomials, multiplicative
-orders, l-part/l'-part splitting, orders of general linear and unitary groups,
-and orders of twisted maximal tori given by signed permutations.  Everything
-is plain integer arithmetic; nothing here is approximate.
+orders, l-part/l'-part splitting and orders of general linear and unitary
+groups.  Everything is plain integer arithmetic; nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -22,6 +21,13 @@ _TABLE_LIMIT = 128
 
 class ExactFieldError(ValueError):
     """Raised for invalid field, order, or torus parameters."""
+
+
+class CertificateError(AssertionError):
+    """A certificate that must hold by theory failed.
+
+    Raised explicitly, never by `assert`, so it still fires under python -O.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +88,12 @@ def spp(eps: int, q: int) -> SignedPrimePower:
         raise ExactFieldError(f"{q} is not a prime power")
     ((p, m),) = fac.items()
     return SignedPrimePower(eps, PrimePower(p, m))
+
+
+@cache
+def factor_field(k: int, sp: SignedPrimePower) -> SignedPrimePower:
+    """The signed field of the degree-k extension: eps^k and q^k."""
+    return spp(sp.eps**k, sp.q**k)
 
 
 # ---------------------------------------------------------------------------
@@ -296,48 +308,6 @@ class FiniteField:
             n += 1
         return n
 
-    def trace_to_prime(self, a: int) -> int:
-        """Trace into GF(p), returned as an integer 0 <= t < p."""
-        t, x = 0, a
-        for _ in range(self.k):
-            t = self.add(t, x)
-            x = self.frobenius(x)
-        if t >= self.p:  # trace lands in the prime subfield
-            raise ExactFieldError("trace left the prime subfield")  # pragma: no cover
-        return t
-
-    def embed(self, other: "FiniteField"):
-        """Return the embedding map of this field into a larger one.
-
-        Requires other = GF(p**(k*r)).  The image of x is the first root of
-        this field's modulus in the other field, scanned in encoding order.
-        """
-        if other.p != self.p or other.k % self.k != 0:
-            raise ExactFieldError("no embedding exists")
-        mod = self.modulus
-        root = None
-        for cand in other.elements():
-            acc, power = 0, 1
-            for c in mod:
-                if c:
-                    acc = other.add(acc, other.mul(c % other.p, power))
-                power = other.mul(power, cand)
-            if acc == 0:
-                root = cand
-                break
-        if root is None:
-            raise ExactFieldError("modulus has no root in target")  # pragma: no cover
-
-        def phi(a: int) -> int:
-            out, power = 0, 1
-            for c in self._dec(a):
-                if c:
-                    out = other.add(out, other.mul(c, power))
-                power = other.mul(power, root)
-            return out
-
-        return phi
-
 
 @cache
 def build_field(p: int, k: int) -> FiniteField:
@@ -429,107 +399,3 @@ def sl_group_order(n: int, sp: SignedPrimePower) -> int:
     if n == 0:
         return 1
     return group_order(n, sp) // (sp.q - sp.eps) if n >= 1 else 1
-
-
-# ---------------------------------------------------------------------------
-# signed permutations and twisted torus orders
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """A monomial matrix with entries +-1: perm[i] is the image of i,
-    signs[i] the entry in column i."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
-            raise ExactFieldError("invalid signed permutation")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ExactFieldError("signs must be +-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Matrix product self . other."""
-        if self.n != other.n:
-            raise ExactFieldError("size mismatch")
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.n))
-        signs = tuple(other.signs[i] * self.signs[other.perm[i]] for i in range(self.n))
-        return SignedPermutation(perm, signs)
-
-    def matrix(self) -> list[list[int]]:
-        m = [[0] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            m[self.perm[i]][i] = self.signs[i]
-        return m
-
-    def cycles(self) -> list[tuple[int, int]]:
-        """(length, sign product) per cycle."""
-        seen = [False] * self.n
-        out = []
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            length, sign, j = 0, 1, i
-            while not seen[j]:
-                seen[j] = True
-                sign *= self.signs[j]
-                j = self.perm[j]
-                length += 1
-            out.append((length, sign))
-        return out
-
-
-def identity_perm(n: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(n)), (1,) * n)
-
-
-def block_cycles(d0: int, a: int, m: int) -> SignedPermutation:
-    """a disjoint d0-cycles followed by m fixed points, all signs +1."""
-    perm = []
-    for i in range(a):
-        base = i * d0
-        perm.extend([base + (j + 1) % d0 for j in range(d0)])
-    perm.extend(range(a * d0, a * d0 + m))
-    return SignedPermutation(tuple(perm), (1,) * (a * d0 + m))
-
-
-def int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def torus_order(w: SignedPermutation, sp: SignedPrimePower) -> int:
-    """Order of the w-twisted maximal torus, |det(q * sigma_eps * w - 1)|.
-
-    sigma_eps is -identity in the unitary case.  Equals the product over
-    cycles of |(eps*q)^length * sign - 1|; the determinant route avoids
-    trusting that identity and is what the tests cross-check against.
-    """
-    n = w.n
-    mat = w.matrix()
-    scale = sp.q * sp.eps
-    rows = [[scale * mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return abs(int_det(rows))

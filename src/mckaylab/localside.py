@@ -25,23 +25,22 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
-from .charparams import (
-    GlobalChar,
-    central_char,
-    degree,
-    enumerate_irr,
+from .charparams import GlobalChar, enumerate_irr, group_table, index_order
+from .exactfield import (
+    CertificateError,
+    SignedPrimePower,
+    ell_val,
     factor_field,
-    index_order,
-    zhat_act,
+    group_order,
+    order_for_ell,
 )
-from .exactfield import SignedPrimePower, ell_val, group_order, order_for_ell
 from .partitions import (
     e_core_quotient,
     partitions,
     wreath_degree,
     wreath_labels,
 )
-from .ssclasses import SSClass, eigen_modulus, enumerate_ss_classes
+from .ssclasses import SSClass, eigen_modulus, enumerate_ss_classes, eq_orbits
 
 
 class TransportError(ValueError):
@@ -80,45 +79,20 @@ def local_order(n: int, sp: SignedPrimePower, ell: int) -> int:
 
 def canonical_theta(theta: int, n: int, sp: SignedPrimePower, ell: int) -> int:
     """Minimal member of the eq-power orbit of theta in Z/Q."""
-    td = torus_data(n, sp, ell)
-    base = sp.eq % td.Q
-    theta %= td.Q
-    best, x = theta, theta * base % td.Q
-    while x != theta:
-        best = min(best, x)
-        x = x * base % td.Q
-    return best
-
-
-def theta_orbit_size(rep: int, n: int, sp: SignedPrimePower, ell: int) -> int:
-    td = torus_data(n, sp, ell)
-    base = sp.eq % td.Q
-    size, x = 1, rep * base % td.Q
-    while x != rep:
-        size += 1
-        x = x * base % td.Q
-    return size
+    Q = torus_data(n, sp, ell).Q
+    return eq_orbits(Q, sp).rep[theta % Q]
 
 
 @cache
 def theta_orbits(n: int, sp: SignedPrimePower, ell: int) -> tuple:
     """All eq-power orbits on Z/Q as (representative, size), sorted."""
     td = torus_data(n, sp, ell)
-    base = sp.eq % td.Q
-    seen: set = set()
-    out = []
-    for theta in range(td.Q):
-        if theta in seen:
-            continue
-        orbit = [theta]
-        x = theta * base % td.Q
-        while x != theta:
-            orbit.append(x)
-            x = x * base % td.Q
-        seen.update(orbit)
-        assert td.d0 % len(orbit) == 0
-        out.append((theta, len(orbit)))
-    return tuple(out)
+    orbits = eq_orbits(td.Q, sp)
+    out = tuple((theta, orbits.size[theta]) for theta in range(td.Q)
+                if orbits.rep[theta] == theta)
+    if any(td.d0 % size for _, size in out):
+        raise CertificateError("an eq-power orbit size does not divide d0")
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -140,22 +114,19 @@ def enumerate_local_irr(n: int, sp: SignedPrimePower, ell: int) -> tuple:
     td = torus_data(n, sp, ell)
     orbits = theta_orbits(n, sp, ell)
 
+    # Multisets of orbits with multiplicities summing to a; the stack pops
+    # the last orbit first, listing shapes in depth-first recursive order.
     shapes: list = []
-
-    def rec(i: int, budget: int, chosen: list) -> None:
+    stack = [(0, td.a, ())]
+    while stack:
+        i, budget, chosen = stack.pop()
         if budget == 0:
-            shapes.append(tuple(chosen))
-            return
-        if i == len(orbits):
-            return
-        rec(i + 1, budget, chosen)
-        rep, size = orbits[i]
-        for mult in range(1, budget + 1):
-            chosen.append((rep, mult))
-            rec(i + 1, budget - mult, chosen)
-            chosen.pop()
-
-    rec(0, td.a, [])
+            shapes.append(chosen)
+            continue
+        for j in range(i, len(orbits)):
+            rep = orbits[j][0]
+            for mult in range(budget, 0, -1):
+                stack.append((j + 1, budget - mult, chosen + ((rep, mult),)))
 
     size_of = {rep: size for rep, size in orbits}
     out = []
@@ -177,13 +148,14 @@ def wreath_index(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) -> int:
     for (_, mult), eta in zip(psi.blocks, psi.etas):
         den *= len(eta) ** mult * math.factorial(mult)
     index, rem = divmod(num, den)
-    assert rem == 0, "inertia order does not divide the Weyl order"
+    if rem:
+        raise CertificateError("inertia order does not divide the Weyl order")
     return index
 
 
 def local_degree(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) -> int:
-    td = torus_data(n, sp, ell)
-    out = degree(psi.chi_m, td.m, sp) * wreath_index(psi, n, sp, ell)
+    table = group_table(torus_data(n, sp, ell).m, sp)
+    out = table.degrees[table.index[psi.chi_m]] * wreath_index(psi, n, sp, ell)
     for eta in psi.etas:
         out *= wreath_degree(eta)
     return out
@@ -199,10 +171,11 @@ def local_ellprime_structural(
     """Two-condition form: wreath index and wreath degrees both ell-prime.
 
     The GL_m factor degree is automatically prime to ell because m is
-    smaller than the order of eq at ell; asserted, not assumed.
+    smaller than the order of eq at ell; checked, not assumed.
     """
-    td = torus_data(n, sp, ell)
-    assert ell_val(degree(psi.chi_m, td.m, sp), ell) == 0
+    table = group_table(torus_data(n, sp, ell).m, sp)
+    if ell_val(table.degrees[table.index[psi.chi_m]], ell) != 0:
+        raise CertificateError("GL_m factor degree is divisible by ell")
     if ell_val(wreath_index(psi, n, sp, ell), ell) != 0:
         return False
     return all(ell_val(wreath_degree(eta), ell) == 0 for eta in psi.etas)
@@ -219,6 +192,8 @@ def local_zhat_act(
     the wreath labels ride along unchanged.
     """
     td = torus_data(n, sp, ell)
+    table = group_table(td.m, sp)
+    chi_m = table.chars[table.translates[table.index[psi.chi_m]][z % td.m1]]
     delta = td.sigma * z * (td.Q // td.m1)
     moved = [
         ((canonical_theta(rep + delta, n, sp, ell), mult), eta)
@@ -226,7 +201,7 @@ def local_zhat_act(
     ]
     moved.sort(key=lambda pair: pair[0])
     return LocalChar(
-        zhat_act(psi.chi_m, sp, z),
+        chi_m,
         tuple(block for block, _ in moved),
         tuple(eta for _, eta in moved),
     )
@@ -248,7 +223,8 @@ def local_central_label(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) 
     modulo M_1.
     """
     td = torus_data(n, sp, ell)
-    nu = central_char(psi.chi_m, sp)
+    table = group_table(td.m, sp)
+    nu = table.centrals[table.index[psi.chi_m]]
     for (rep, mult) in psi.blocks:
         nu += mult * (rep % td.m1)
     return nu % td.m1
@@ -270,6 +246,7 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
     raise TransportError with the offending factor.
     """
     td = torus_data(n, sp, ell)
+    orbits = eq_orbits(td.Q, sp)
     core_factors = []
     blocks = []
     for ((k, e_lab), mult), lam in zip(chi.cls.factors, chi.parts):
@@ -284,8 +261,8 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
                     f"factor of degree {k} with nonempty quotient, d0={td.d0}"
                 )
             mk = eigen_modulus(k, sp)
-            rep = canonical_theta(td.sigma * e_lab * (td.Q // mk), n, sp, ell)
-            if theta_orbit_size(rep, n, sp, ell) != k:
+            rep = orbits.rep[td.sigma * e_lab * (td.Q // mk) % td.Q]
+            if orbits.size[rep] != k:
                 raise TransportError(
                     f"transported torus character has orbit size != {k}"
                 )
@@ -302,7 +279,8 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
     )
     blocks.sort(key=lambda pair: pair[0])
     reps = [rep for (rep, _), _ in blocks]
-    assert len(set(reps)) == len(reps), "transported blocks collide"
+    if len(set(reps)) != len(reps):
+        raise CertificateError("transported blocks collide")
     return LocalChar(
         chi_m,
         tuple(block for block, _ in blocks),

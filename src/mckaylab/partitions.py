@@ -12,7 +12,7 @@ import math
 from functools import cache
 from itertools import combinations_with_replacement
 
-from .exactfield import SignedPrimePower, ell_val
+from .exactfield import CertificateError, SignedPrimePower, ell_val
 
 Partition = tuple[int, ...]
 WreathLabel = tuple[Partition, ...]
@@ -99,7 +99,8 @@ def e_core_quotient(lam: Partition, e: int) -> tuple[Partition, WreathLabel, int
         core_beta.extend(e * j + r for j in range(len(runner)))
     core = _partition_from_beta(tuple(core_beta))
     w = sum(sum(mu) for mu in quotient)
-    assert sum(core) + e * w == sum(lam)
+    if sum(core) + e * w != sum(lam):
+        raise CertificateError("|core| + e * weight differs from |lam|")
     return core, quotient, w
 
 
@@ -116,7 +117,8 @@ def from_core_quotient(core: Partition, quotient: WreathLabel, e: int) -> Partit
     new_beta = []
     for r, runner in enumerate(runners):
         positions = sorted(runner)
-        assert positions == list(range(len(positions))), "input is not an e-core"
+        if positions != list(range(len(positions))):
+            raise CertificateError("input is not an e-core")
         mu = quotient[r]
         k = len(positions)
         padded = tuple(mu) + (0,) * (k - len(mu))
@@ -129,7 +131,7 @@ def generic_degree(lam: Partition, sp: SignedPrimePower) -> int:
     """|Deg_lam(eps*q)| for the unipotent character labelled by lam.
 
     Deg_lam(x) = x^n(lam) * prod_{k<=|lam|}(x^k - 1) / prod_hooks(x^h - 1),
-    evaluated exactly; the division is asserted exact.
+    evaluated exactly; the division is checked to be exact.
     """
     x = sp.eq
     size = sum(lam)
@@ -142,7 +144,8 @@ def generic_degree(lam: Partition, sp: SignedPrimePower) -> int:
     for h in hook_lengths(lam):
         den *= x**h - 1
     quotient, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise CertificateError(f"generic degree of {lam} is not a polynomial")
     return abs(quotient)
 
 
@@ -153,7 +156,8 @@ def symmetric_dim(mu: Partition) -> int:
     for h in hook_lengths(mu):
         den *= h
     dim, rem = divmod(math.factorial(size), den)
-    assert rem == 0
+    if rem:
+        raise CertificateError(f"hook product of {mu} does not divide {size}!")
     return dim
 
 
@@ -185,7 +189,8 @@ def wreath_degree(label: WreathLabel) -> int:
         for h in hook_lengths(mu):
             den *= h
     deg, rem = divmod(math.factorial(w), den)
-    assert rem == 0
+    if rem:
+        raise CertificateError(f"hook product of {label} does not divide {w}!")
     return deg
 
 
@@ -193,7 +198,8 @@ def wreath_degree(label: WreathLabel) -> int:
 def wreath_irr(e: int, w: int) -> tuple[tuple[WreathLabel, int], ...]:
     """(label, degree) for every irreducible of C_e wr S_w."""
     out = tuple((label, wreath_degree(label)) for label in wreath_labels(e, w))
-    assert sum(d * d for _, d in out) == e**w * math.factorial(w)
+    if sum(d * d for _, d in out) != e**w * math.factorial(w):
+        raise CertificateError(f"degrees of C_{e} wr S_{w} miss the group order")
     return out
 
 

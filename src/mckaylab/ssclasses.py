@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .exactfield import SignedPermutation, SignedPrimePower, group_order, spp
+from .exactfield import SignedPrimePower, factor_field, group_order
 
 Label = tuple[int, int]
 
@@ -35,37 +35,51 @@ def eigen_modulus(k: int, sp: SignedPrimePower) -> int:
     return abs(sp.q**k - sp.eps**k)
 
 
+@dataclass(frozen=True)
+class PowerOrbits:
+    """Orbits of x -> base * x on Z/m: rep[x] is the least member, size[x] the length."""
+
+    rep: tuple
+    size: tuple
+
+
+@cache
+def power_orbits(m: int, base: int) -> PowerOrbits:
+    """The orbit table of multiplication by base on Z/m, walked once."""
+    rep = [-1] * m
+    size = [0] * m
+    for x in range(m):
+        if rep[x] >= 0:
+            continue
+        orbit = [x]
+        y = x * base % m
+        while y != x:
+            orbit.append(y)
+            y = y * base % m
+        for y in orbit:
+            rep[y] = x
+            size[y] = len(orbit)
+    return PowerOrbits(tuple(rep), tuple(size))
+
+
+def eq_orbits(m: int, sp: SignedPrimePower) -> PowerOrbits:
+    """Orbits of the eq-power (Frobenius) map on Z/m."""
+    return power_orbits(m, sp.eq % m)
+
+
 def canonical_label(k: int, e: int, sp: SignedPrimePower) -> Label:
     """Minimal member of the multiplication-by-eq orbit of e in Z/M_k."""
     m = eigen_modulus(k, sp)
-    base = sp.eq % m
-    e %= m
-    best, x = e, e * base % m
-    while x != e:
-        best = min(best, x)
-        x = x * base % m
-    return (k, best)
+    return (k, eq_orbits(m, sp).rep[e % m])
 
 
 @cache
 def labels_of_degree(k: int, sp: SignedPrimePower) -> tuple:
     """Canonical representatives of the orbits of size exactly k."""
     m = eigen_modulus(k, sp)
-    base = sp.eq % m
-    seen: set = set()
-    out = []
-    for e in range(m):
-        if e in seen:
-            continue
-        orbit = [e]
-        x = e * base % m
-        while x != e:
-            orbit.append(x)
-            x = x * base % m
-        seen.update(orbit)
-        if len(orbit) == k:
-            out.append(e)
-    return tuple(out)
+    orbits = eq_orbits(m, sp)
+    return tuple(e for e in range(m)
+                 if orbits.rep[e] == e and orbits.size[e] == k)
 
 
 @cache
@@ -73,21 +87,19 @@ def enumerate_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
     """All semisimple classes of the rank-n group, canonically sorted."""
     labels = [(k, e) for k in range(1, n + 1) for e in labels_of_degree(k, sp)]
     out = []
-
-    def rec(i: int, budget: int, chosen: list) -> None:
+    # (next label index, remaining rank, chosen factors); labels ascend in k
+    stack = [(0, n, ())]
+    while stack:
+        i, budget, chosen = stack.pop()
         if budget == 0:
-            out.append(SSClass(tuple(chosen)))
-            return
-        if i == len(labels):
-            return
-        rec(i + 1, budget, chosen)
-        k = labels[i][0]
-        for m in range(1, budget // k + 1):
-            chosen.append((labels[i], m))
-            rec(i + 1, budget - m * k, chosen)
-            chosen.pop()
-
-    rec(0, n, [])
+            out.append(SSClass(chosen))
+            continue
+        for j in range(i, len(labels)):
+            k = labels[j][0]
+            if k > budget:
+                break
+            for m in range(1, budget // k + 1):
+                stack.append((j + 1, budget - m * k, chosen + ((labels[j], m),)))
     return tuple(sorted(out))
 
 
@@ -106,9 +118,7 @@ def centralizer_factors(cls: SSClass, sp: SignedPrimePower) -> tuple:
     orbit of multiplicity m contributes a rank-m general linear or
     unitary group over the degree-k extension, with sign eps^k.
     """
-    return tuple(
-        (m, spp(sp.eps**k, sp.q**k)) for (k, _), m in cls.factors
-    )
+    return tuple((m, factor_field(k, sp)) for (k, _), m in cls.factors)
 
 
 def centralizer_order(cls: SSClass, sp: SignedPrimePower) -> int:

@@ -1,11 +1,25 @@
 """Cell reports: schema, pairing, oracle cross-validation."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from mckaylab import bijection, charparams, localside
 from mckaylab.bijection import (
     Cell,
     all_ok,
+    cell_data,
+    check_bijective,
     check_cell,
+    check_central,
+    check_ellprime,
+    check_in_congruence,
+    check_sum_squares,
+    check_zhat,
     default_grid,
     explicit_torus,
     omega_tilde,
@@ -103,9 +117,15 @@ def test_explicit_torus_orders():
         assert explicit_torus(G, ell).order == order
 
 
-def test_run_grid_collects_cell_errors():
-    reports = run_grid([Cell(2, 1, 3, 3)])
+def test_run_grid_collects_cell_errors(monkeypatch):
+    def broken(*args):
+        raise ValueError("ell divides q")
+
+    monkeypatch.setattr(bijection, "torus_data", broken)
+    reports = run_grid([Cell(2, 1, 3, 2)])
     assert reports[0]["status"] == "error"
+    assert reports[0]["witnesses"] == [{"check": "error",
+                                        "error": "ell divides q"}]
     assert not all_ok(reports)
 
 
@@ -114,3 +134,146 @@ def test_run_grid_ok_on_small_sample():
                        with_oracle=False)
     assert all_ok(reports)
     assert [r["cell"]["kind"] for r in reports] == ["GU", "GL"]
+
+
+@pytest.mark.parametrize("args", [
+    (2, 1, 3, 4),   # composite ell
+    (3, 1, 5, 9),   # ell a prime power, not a prime
+    (2, 1, 3, 3),   # ell divides q
+    (2, 1, 6, 5),   # q not a prime power
+    (2, 0, 3, 2),   # eps not a sign
+    (0, 1, 3, 2),   # empty rank
+])
+def test_cell_rejects_invalid_parameters(args):
+    with pytest.raises(ValueError):
+        Cell(*args)
+
+
+# ---------------------------------------------------------------------------
+# every check must notice one wrong table entry
+
+
+def _set(entries: tuple, k: int, value) -> tuple:
+    return entries[:k] + (value,) + entries[k + 1:]
+
+
+def _wrong_image(data):
+    (i, _), (_, j) = data.pairs[0], data.pairs[1]
+    return replace(data, pairs=_set(data.pairs, 0, (i, j)))
+
+
+def _wrong_translate(data):
+    i, j = data.pairs[0]
+    image = dict(data.pairs)
+    wrong = next(k for k, jk in image.items() if jk != data.ltranslates[j][1])
+    row = _set(data.group.translates[i], 1, wrong)
+    group = replace(data.group, translates=_set(data.group.translates, i, row))
+    return replace(data, group=group)
+
+
+def _wrong_local_translate(data):
+    _, j = data.pairs[0]
+    row = data.ltranslates[j]
+    return replace(data, ltranslates=_set(data.ltranslates, j,
+                                          _set(row, 1, row[2])))
+
+
+def _wrong_degree(data):
+    i, _ = data.pairs[0]
+    degrees = data.group.degrees
+    group = replace(data.group, degrees=_set(degrees, i,
+                                             degrees[i] * data.cell.ell))
+    return replace(data, group=group)
+
+
+def _wrong_local_degree(data):
+    _, j = data.pairs[0]
+    return replace(data, ldegrees=_set(data.ldegrees, j,
+                                       data.ldegrees[j] * data.cell.ell))
+
+
+def _wrong_central(data):
+    _, j = data.pairs[0]
+    return replace(data, lcentrals=_set(data.lcentrals, j,
+                                        (data.lcentrals[j] + 1) % 3))
+
+
+def _ok(check, data, note):
+    verdict = check(data, note)
+    return verdict[0] if isinstance(verdict, tuple) else verdict
+
+
+@pytest.mark.parametrize("corrupt,check", [
+    (_wrong_image, check_bijective),
+    (_wrong_image, check_zhat),
+    (_wrong_translate, check_zhat),
+    (_wrong_local_translate, check_zhat),
+    (_wrong_degree, check_in_congruence),
+    (_wrong_degree, check_ellprime),
+    (_wrong_degree, check_sum_squares),
+    (_wrong_local_degree, check_ellprime),
+    (_wrong_local_degree, check_sum_squares),
+    (_wrong_central, check_central),
+])
+def test_checks_fail_on_one_wrong_table_entry(corrupt, check):
+    data = cell_data(Cell(2, -1, 2, 3))   # M_1 = 3, nine pairs
+    witnesses = []
+
+    def note(kind, **payload):
+        witnesses.append(kind)
+
+    assert _ok(check, data, note) is True
+    assert witnesses == []
+    assert _ok(check, corrupt(data), note) is False
+    assert witnesses
+
+
+# ---------------------------------------------------------------------------
+# no repeated work
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call to fn, wherever it is bound."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mckaylab"):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_check_cell_computes_each_degree_and_transport_once(monkeypatch):
+    charparams.group_table.cache_clear()
+    degrees = _count_calls(monkeypatch, charparams.degree)
+    transports = _count_calls(monkeypatch, localside.transport)
+    rep = check_cell(Cell(3, 1, 5, 3), with_oracle=False)
+    assert rep["status"] == "ok"
+    assert degrees and len(set(degrees)) == len(degrees)
+    assert len(set(transports)) == len(transports) == rep["counts"]["global"]
+
+
+def test_certificates_run_under_optimize():
+    code = (
+        "from mckaylab.bijection import Cell, check_cell\n"
+        "from mckaylab.exactfield import CertificateError, spp\n"
+        "from mckaylab.localside import LocalChar, wreath_index\n"
+        "from mckaylab.charparams import enumerate_irr\n"
+        "print(check_cell(Cell(2, 1, 3, 2), with_oracle=False)['status'])\n"
+        "bad = LocalChar(enumerate_irr(0, spp(1, 3))[0], ((1, 3),), (((1,),),))\n"
+        "try:\n"
+        "    wreath_index(bad, 2, spp(1, 3), 2)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.split() == ["ok", "raised"]

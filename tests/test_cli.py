@@ -129,3 +129,17 @@ def test_output_file(tmp_path):
               "--format", "json", "--out", str(out))
     assert res.exit_code == 0
     assert json.loads(out.read_text())[0]["status"] == "ok"
+
+
+def test_verify_rejects_invalid_cells():
+    for n, q, eps, ell in (("2", "3", "+1", "4"), ("3", "5", "+1", "9"),
+                           ("2", "6", "+1", "5"), ("0", "3", "+1", "2")):
+        res = run("verify", "--n", n, "--q", q, "--eps", eps, "--ell", ell)
+        assert res.exit_code == 2, (n, q, ell)
+
+
+def test_verify_rejects_invalid_grid_rows(tmp_path):
+    for row in ([2, 1, 3, 4], [2, 0, 3, 2]):
+        grid = tmp_path / "cells.json"
+        grid.write_text(json.dumps([row]))
+        assert run("verify", "--grid", str(grid)).exit_code == 2, row

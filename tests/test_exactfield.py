@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from mckaylab.exactfield import (
     ExactFieldError,
-    block_cycles,
     build_field,
     ell_part,
     ell_val,
@@ -14,7 +13,6 @@ from mckaylab.exactfield import (
     order_for_ell,
     sl_group_order,
     spp,
-    torus_order,
 )
 
 
@@ -85,12 +83,6 @@ def test_ell_part_rejects_zero_and_composite_ell():
         ell_part(0, 2)
     with pytest.raises(ExactFieldError):
         ell_part(12, 4)
-
-
-def test_torus_order_for_block_shapes():
-    assert torus_order(block_cycles(2, 1, 0), spp(1, 3)) == 8
-    assert torus_order(block_cycles(1, 2, 0), spp(-1, 2)) == 9
-    assert torus_order(block_cycles(3, 1, 0), spp(1, 2)) == 7
 
 
 def test_field_arithmetic_in_gf4():

@@ -154,3 +154,12 @@ def test_local_ellprime_counts_match_global():
         local = sum(local_ellprime(psi, n, sp, ell)
                     for psi in enumerate_local_irr(n, sp, ell))
         assert local == count_ellprime(n, sp, ell)
+
+
+def test_local_enumeration_has_no_recursion_depth_limit():
+    # Z/(47^2 - 1) has 1127 eq-power orbits, more than the default recursion
+    # limit of 1000 frames.
+    n, sp, ell = 2, spp(1, 47), 3
+    chars = enumerate_local_irr(n, sp, ell)
+    assert sum(local_degree(psi, n, sp, ell) ** 2 for psi in chars) \
+        == local_order(n, sp, ell)

@@ -102,3 +102,9 @@ def test_centralizer_orders_divide_group_order():
         total = group_order(n, sp)
         for cls in enumerate_ss_classes(n, sp):
             assert total % centralizer_order(cls, sp) == 0
+
+
+def test_enumeration_has_no_recursion_depth_limit():
+    # GL(2,47) has 1127 eigenvalue labels, more than the default recursion
+    # limit of 1000 frames.
+    assert len(enumerate_ss_classes(2, spp(1, 47))) == 47**2 - 47
