@@ -49,6 +49,7 @@ from .charparams import (
 from .localside import (
     LocalChar,
     TransportError,
+    enumerate_ellprime_params,
     enumerate_local_irr,
     local_central_label,
     local_degree,
@@ -63,6 +64,9 @@ from . import dixon
 from .matrixoracle import (
     OracleError,
     build_group,
+    element_order,
+    identity_matrix,
+    mat_mul,
     normalizer,
     subgroup_closure,
     subgroup_view,
@@ -273,7 +277,9 @@ def _jordan_ellprime(chi: GlobalChar, deg: int, n: int, sp: SignedPrimePower,
 
 
 def check_ellprime(data: CellData, note) -> tuple[bool, int, int]:
-    """Direct, structural and Jordan ell-prime tests agree on both sides.
+    """Direct, structural and Jordan ell-prime tests agree on both sides,
+    and the direct global count agrees with enumerate_ellprime_params, which
+    builds the ell-prime characters from cores and quotients without degrees.
 
     Returns the verdict and the ell-prime counts of the global and local
     sides.
@@ -297,7 +303,7 @@ def check_ellprime(data: CellData, note) -> tuple[bool, int, int]:
             ok = False
             note("ellprime_equiv", side="local",
                  local_char=local_to_params(psi))
-    combinatorial = count_ellprime(n, sp, ell)
+    combinatorial = len(enumerate_ellprime_params(n, sp, ell))
     if n_global != combinatorial:
         ok = False
         note("ellprime_count", direct=n_global, combinatorial=combinatorial)
@@ -419,44 +425,12 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
 # explicit torus constructions for the oracle route
 
 
-def _mat_pow(a, e: int, mul, identity):
-    result, base = identity, a
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        e >>= 1
-    return result
-
-
-def _prime_divisors(x: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        out.append(x)
-    return tuple(out)
-
-
-def _has_order(g, target: int, mul, identity) -> bool:
-    if _mat_pow(g, target, mul, identity) != identity:
-        return False
-    return all(_mat_pow(g, target // r, mul, identity) != identity
-               for r in _prime_divisors(target))
-
-
 def _primitive_companion(F, d0: int, target: int):
     """Companion matrix of the first monic degree-d0 polynomial over F whose
     companion matrix has multiplicative order exactly target."""
-    idm = tuple(tuple(int(i == j) for j in range(d0)) for i in range(d0))
+    idm = identity_matrix(d0)
 
     def mul(a, b):
-        from .matrixoracle import mat_mul
         return mat_mul(a, b, F)
 
     for coeffs in product(range(F.size), repeat=d0):
@@ -468,7 +442,7 @@ def _primitive_companion(F, d0: int, target: int):
         for i in range(d0):
             comp[i][d0 - 1] = F.neg(coeffs[i])
         cand = tuple(tuple(row) for row in comp)
-        if _has_order(cand, target, mul, idm):
+        if element_order(cand, mul, idm) == target:
             return cand
     raise OracleError(f"no degree-{d0} companion of order {target} over F")
 
@@ -504,14 +478,13 @@ def explicit_torus(G, ell: int):
         for x in G.elements:
             if x == G.identity:
                 continue
-            if _mat_pow(x, Q, G.mul, G.identity) != G.identity:
+            if Q % G.element_order(x):
                 continue
             cent = tuple(g for g in G.elements
                          if G.mul(g, x) == G.mul(x, g))
             if len(cent) != target:
                 continue
-            if any(_mat_pow(g, Q, G.mul, G.identity) != G.identity
-                   for g in cent):
+            if any(Q % G.element_order(g) for g in cent):
                 continue
             if any(G.mul(a, b) != G.mul(b, a)
                    for a in cent for b in cent):
@@ -612,26 +585,29 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
 # grid driver
 
 
+def run_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
+             with_oracle: bool = True) -> dict:
+    """check_cell, with a ValueError or OracleError turned into an error report."""
+    try:
+        return check_cell(cell, oracle_limit, with_oracle)
+    except (ValueError, OracleError) as exc:
+        return {
+            "cell": cell.as_dict(),
+            "degenerate": None,
+            "counts": {},
+            "checks": {},
+            "witnesses": [{"check": "error", "error": str(exc)}],
+            "ms": 0,
+            "status": "error",
+        }
+
+
 def run_grid(cells=None, oracle_limit: int = ORACLE_ORDER_LIMIT,
              with_oracle: bool = True) -> list[dict]:
     """Check every cell; per-cell failures are collected, not raised."""
     if cells is None:
         cells = default_grid()
-    reports = []
-    for cell in sorted(cells):
-        try:
-            reports.append(check_cell(cell, oracle_limit, with_oracle))
-        except (ValueError, OracleError) as exc:
-            reports.append({
-                "cell": cell.as_dict(),
-                "degenerate": None,
-                "counts": {},
-                "checks": {},
-                "witnesses": [{"check": "error", "error": str(exc)}],
-                "ms": 0,
-                "status": "error",
-            })
-    return reports
+    return [run_cell(cell, oracle_limit, with_oracle) for cell in sorted(cells)]
 
 
 def all_ok(reports) -> bool:

@@ -56,6 +56,7 @@ def enumerate_irr(n: int, sp: SignedPrimePower) -> tuple:
     return tuple(out)
 
 
+@cache
 def index_order(cls: SSClass, n: int, sp: SignedPrimePower) -> int:
     return group_order(n, sp) // centralizer_order(cls, sp)
 
@@ -130,12 +131,14 @@ def count_ellprime(n: int, sp: SignedPrimePower, ell: int) -> int:
     return sum(1 for chi in enumerate_irr(n, sp) if is_ellprime(chi, n, sp, ell))
 
 
-def _factor_core_data(chi: GlobalChar, sp: SignedPrimePower, ell: int):
+def _factors_ellprime(chi: GlobalChar, sp: SignedPrimePower, ell: int) -> bool:
+    """Every factor has an e-core smaller than e and an ell-prime quotient."""
     for ((k, _), _), lam in zip(chi.cls.factors, chi.parts):
-        sub = factor_field(k, sp)
-        e = order_for_ell(sub.eq, ell)
-        core, quot, w = e_core_quotient(lam, e)
-        yield e, core, quot, w
+        e = order_for_ell(factor_field(k, sp).eq, ell)
+        core, quot, _ = e_core_quotient(lam, e)
+        if sum(core) >= e or ell_val(wreath_degree(quot), ell) != 0:
+            return False
+    return True
 
 
 def ellprime_structural(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
@@ -148,14 +151,8 @@ def ellprime_structural(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int)
     the quotient's wreath degree is prime to ell, so no big integers
     need to be formed.
     """
-    if ell_val(index_order(chi.cls, n, sp), ell) != 0:
-        return False
-    for e, core, quot, _ in _factor_core_data(chi, sp, ell):
-        if sum(core) >= e:
-            return False
-        if ell_val(wreath_degree(quot), ell) != 0:
-            return False
-    return True
+    return (ell_val(index_order(chi.cls, n, sp), ell) == 0
+            and _factors_ellprime(chi, sp, ell))
 
 
 def global_relevant(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
@@ -186,13 +183,9 @@ def sl_relevant(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> bool
     parameter.  Tested to agree with global_relevant, not assumed.
     """
     a = component_group(chi.cls, sp)
-    if ell_val(index_order(chi.cls, n, sp), ell) != ell_val(len(a), ell):
+    if (ell_val(index_order(chi.cls, n, sp), ell) != ell_val(len(a), ell)
+            or not _factors_ellprime(chi, sp, ell)):
         return False
-    for e, core, quot, _ in _factor_core_data(chi, sp, ell):
-        if sum(core) >= e:
-            return False
-        if ell_val(wreath_degree(quot), ell) != 0:
-            return False
     m1 = eigen_modulus(1, sp)
     for z in a:
         if z and _is_ell_power(m1 // math.gcd(z, m1), ell):

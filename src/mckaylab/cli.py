@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import click
 
@@ -22,8 +23,8 @@ from .bijection import (
     ORACLE_ORDER_LIMIT,
     Cell,
     all_ok,
-    check_cell,
     default_grid,
+    run_cell,
     run_grid,
 )
 from .exactfield import spp
@@ -77,10 +78,6 @@ def _render_table(reports: list[dict], timings: bool) -> str:
     return "\n".join(lines)
 
 
-def _check_cell_star(args):
-    return check_cell(*args)
-
-
 @click.group()
 def main() -> None:
     """Character-count verification laboratory."""
@@ -128,9 +125,8 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
     cells = sorted(cells)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                _check_cell_star,
-                [(c, limit, with_oracle) for c in cells]))
+            reports = list(pool.map(run_cell, cells, repeat(limit),
+                                    repeat(with_oracle)))
     else:
         reports = run_grid(cells, limit, with_oracle)
     reports = [_scrub(r, timings) for r in reports]
@@ -154,13 +150,12 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
               default="table", show_default=True)
 def oracle(kind, n, q, ell, out, fmt) -> None:
     """Exact conjugacy and character data for one finite matrix group."""
-    eps = 1 if kind in ("GL", "SL") else -1
-    if ell is not None and spp(eps, q).p == ell:
-        raise click.UsageError(f"ell={ell} divides q={q}")
     try:
         group = build_group(kind, n, q)
-    except OracleError as exc:
+    except ValueError as exc:   # OracleError, or q not a prime power
         raise click.UsageError(str(exc))
+    if ell is not None and group.sp.p == ell:
+        raise click.UsageError(f"ell={ell} divides q={q}")
     table = dixon.character_table(group)
     payload = {
         "group": f"{kind}_{n}({q})",
@@ -221,6 +216,12 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
     else:
         if q is None:
             raise click.UsageError(f"--check {which} needs --q")
+        if n < 1:
+            raise click.UsageError(f"n={n} must be >= 1")
+        try:
+            spp(1, q)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         lams = [_parse_lambda(lam_text, n)] if lam_text else list(partitions(n))
         payload["q"] = q
         if which == "gamma-conj":
@@ -253,7 +254,10 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
                              f"{evals} twisted evaluations")
             payload["results"] = results
         else:
-            res = gggr.check_multiplicity_one(n, q)
+            try:
+                res = gggr.check_multiplicity_one(n, q)
+            except OracleError as exc:
+                raise click.UsageError(str(exc))
             payload["all_covered"] = res["all_covered"]
             payload["regular_multfree"] = res["regular_multfree"]
             payload["multiplicities"] = {

@@ -145,8 +145,12 @@ class CharacterTable:
 # ---------------------------------------------------------------------------
 # linear algebra over F_r
 
-def _rref(vecs, r):
-    """Reduced row echelon basis (rows, pivot columns) of the span."""
+def _reduce(vecs, r):
+    """Echelon basis (rows, pivot columns) of the span, in insertion order.
+
+    Each row is normalized at its pivot and cleared at every other pivot;
+    vectors already in the span of the earlier ones are dropped.
+    """
     rows, pivots = [], []
     for v in vecs:
         v = [x % r for x in v]
@@ -156,7 +160,8 @@ def _rref(vecs, r):
                 for t in range(len(v)):
                     v[t] = (v[t] - c * prow[t]) % r
         p = next((i for i, x in enumerate(v) if x), None)
-        assert p is not None, "dependent vector in eigenbasis"
+        if p is None:
+            continue
         inv = pow(v[p], -1, r)
         v = [x * inv % r for x in v]
         for prow in rows:
@@ -166,6 +171,13 @@ def _rref(vecs, r):
                     prow[t] = (prow[t] - c * v[t]) % r
         rows.append(v)
         pivots.append(p)
+    return rows, pivots
+
+
+def _rref(vecs, r):
+    """Reduced row echelon basis (rows, pivot columns) of the span."""
+    rows, pivots = _reduce(vecs, r)
+    assert len(rows) == len(vecs), "dependent vector in eigenbasis"
     order = sorted(range(len(rows)), key=lambda i: pivots[i])
     return [rows[i] for i in order], [pivots[i] for i in order]
 
@@ -229,27 +241,8 @@ def _eigenvalues(a, r):
 def _nullspace(a, lam, r):
     """Basis of ker(a - lam) in coordinates, via RREF free columns."""
     m = len(a)
-    mat = [[(a[i][j] - (lam if i == j else 0)) % r for j in range(m)] for i in range(m)]
-    rows, pivots = [], []
-    for v in mat:
-        v = list(v)
-        for p, prow in zip(pivots, rows):
-            c = v[p]
-            if c:
-                for t in range(m):
-                    v[t] = (v[t] - c * prow[t]) % r
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            continue
-        inv = pow(v[p], -1, r)
-        v = [x * inv % r for x in v]
-        for prow in rows:
-            c = prow[p]
-            if c:
-                for t in range(m):
-                    prow[t] = (prow[t] - c * v[t]) % r
-        rows.append(v)
-        pivots.append(p)
+    rows, pivots = _reduce(
+        [[a[i][j] - (lam if i == j else 0) for j in range(m)] for i in range(m)], r)
     basis = []
     for f in range(m):
         if f in pivots:

@@ -286,9 +286,6 @@ class FiniteField:
 
     # structure -----------------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def units(self) -> range:
         return range(1, self.size)
 

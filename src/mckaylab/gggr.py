@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cache
 from itertools import product
 
-from .exactfield import build_field, spp
+from .exactfield import CertificateError, build_field, spp
 from .partitions import partitions
 from .ssclasses import enumerate_ss_classes
 from . import dixon
@@ -28,10 +28,12 @@ from .matrixoracle import (
     build_group,
     conjugacy_partition,
     form_matrix,
+    frobenius_twist,
     gamma_map,
+    gamma_twist,
     identity_matrix,
-    mat_inv,
     mat_mul,
+    mat_rank,
     subgroup_view,
 )
 
@@ -87,8 +89,10 @@ def sweep_parity_symmetry(nmax: int) -> int:
     checked = 0
     for n in range(1, nmax + 1):
         for lam in partitions(n):
-            assert parity_ok(lam), f"odd e_1 at {lam}"
-            assert symmetry_ok(lam), f"asymmetric weights at {lam}"
+            if not parity_ok(lam):
+                raise CertificateError(f"odd e_1 at {lam}")
+            if not symmetry_ok(lam):
+                raise CertificateError(f"asymmetric weights at {lam}")
             checked += 1
     return checked
 
@@ -134,28 +138,6 @@ def rep_unipotent(lam: tuple) -> tuple:
     return tuple(tuple(row) for row in m)
 
 
-def _rank(mat, F) -> int:
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    rank, col = 0, 0
-    while rank < n and col < n:
-        piv = next((r for r in range(rank, n) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [F.sub(x, F.mul(c, y))
-                           for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def jordan_type(u, F) -> tuple:
     """Partition of Jordan block sizes of the unipotent matrix u."""
     n = len(u)
@@ -165,7 +147,7 @@ def jordan_type(u, F) -> tuple:
     powm = identity_matrix(n)
     while ranks[-1] > 0:
         powm = mat_mul(powm, nil, F)
-        ranks.append(_rank(powm, F))
+        ranks.append(mat_rank(powm, F))
     # rank(N^(k-1)) - rank(N^k) counts the Jordan blocks of size >= k
     ge = {k: ranks[k - 1] - ranks[k] for k in range(1, len(ranks))}
     sizes = []
@@ -180,7 +162,8 @@ def field_trace(F, x: int) -> int:
     for _ in range(F.k):
         acc = F.add(acc, y)
         y = F.pow(y, F.p)
-    assert acc < F.p, "trace left the prime subfield"
+    if acc >= F.p:
+        raise CertificateError("trace left the prime subfield")
     return acc
 
 
@@ -251,19 +234,10 @@ def check_homomorphism(lam: tuple, q: int,
     for g in els:
         for h in partners:
             gh = mat_mul(g, h, F)
-            assert exps[gh] == (exps[g] + exps[h]) % F.p, \
-                f"psi_u not multiplicative at {lam}, q={q}"
+            if exps[gh] != (exps[g] + exps[h]) % F.p:
+                raise CertificateError(f"psi_u not multiplicative at {lam}, q={q}")
             checked += 1
     return checked
-
-
-def _frobenius_mat(g, F):
-    return tuple(tuple(F.pow(x, F.p) for x in row) for row in g)
-
-
-def _gamma_mat(g, F, v0):
-    gt = tuple(tuple(g[j][i] for j in range(len(g))) for i in range(len(g)))
-    return mat_mul(mat_mul(v0, mat_inv(gt, F), F), mat_inv(v0, F), F)
 
 
 def check_equivariance(lam: tuple, q: int) -> int:
@@ -279,8 +253,8 @@ def check_equivariance(lam: tuple, q: int) -> int:
     u = rep_unipotent(lam)
     exact2 = exact2_positions(lam)
     twists = [
-        (lambda g: _frobenius_mat(g, F)),
-        (lambda g: _gamma_mat(g, F, v0)),
+        (lambda g: frobenius_twist(g, F)),
+        (lambda g: gamma_twist(g, F, v0)),
     ]
     checked = 0
     for twist in twists:
@@ -288,7 +262,8 @@ def check_equivariance(lam: tuple, q: int) -> int:
         for g in els:
             lhs = psi_exponent(F, exact2, u, g)
             rhs = psi_exponent(F, exact2, tu, twist(g))
-            assert lhs == rhs, f"equivariance fails at {lam}, q={q}"
+            if lhs != rhs:
+                raise CertificateError(f"equivariance fails at {lam}, q={q}")
             checked += 1
     return checked
 
@@ -302,7 +277,8 @@ def check_gamma_conjugacy(lam: tuple, q: int):
     n = sum(lam)
     S = build_group("SL", n, q)
     u = rep_unipotent(lam)
-    assert u in S.index, "representative is not in SL"
+    if u not in S.index:
+        raise CertificateError("representative is not in SL")
     target = gamma_map(S, u)
     for g in S.elements:
         if S.mul(g, u) == S.mul(target, g):
@@ -334,18 +310,19 @@ def gggr_multiplicities(n: int, q: int, lam: tuple) -> tuple:
     psi = dixon.ClassFunction(view=view, part=sub_part, ctx=ctx, values=values)
     ind = dixon.induce(psi, G, part)
     e1 = e1_count(lam)
-    assert e1 % 2 == 0
+    if e1 % 2 or ind.degree != G.order // len(els):
+        raise CertificateError(f"odd e_1 or wrong induced degree at {lam}, q={q}")
     scale = q ** (e1 // 2)
-    assert ind.degree == G.order // len(els)
     mults = []
     for chi in table.chars:
         raw = dixon.inner(ind, chi)
         m, rem = divmod(raw, scale)
-        assert rem == 0, f"inexact multiplicity at {lam}, q={q}"
+        if rem:
+            raise CertificateError(f"inexact multiplicity at {lam}, q={q}")
         mults.append(m)
     expected_deg = (G.order // len(els)) // scale
-    assert sum(m * chi.degree for m, chi in zip(mults, table.chars)) \
-        == expected_deg
+    if sum(m * chi.degree for m, chi in zip(mults, table.chars)) != expected_deg:
+        raise CertificateError(f"multiplicities miss the degree at {lam}, q={q}")
     return tuple(mults)
 
 

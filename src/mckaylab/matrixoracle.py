@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .exactfield import (
-    ExactFieldError,
     FiniteField,
     SignedPrimePower,
     build_field,
@@ -58,41 +57,46 @@ def mat_mul(a: Matrix, b: Matrix, F: FiniteField) -> Matrix:
     return tuple(out)
 
 
+def _gauss_jordan(rows: list, ncols: int, F: FiniteField) -> tuple[int, int]:
+    """Gauss-Jordan reduction of rows in place, pivoting on the first ncols.
+
+    Returns (rank, det): det is the determinant of the leading square block,
+    0 when that block is singular.
+    """
+    rank, det = 0, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            det = 0
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = F.neg(det)
+        det = F.mul(det, rows[rank][col])
+        inv_p = F.inv(rows[rank][col])
+        rows[rank] = [F.mul(inv_p, x) for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank, det
+
+
 def mat_inv(a: Matrix, F: FiniteField) -> Matrix:
     n = len(a)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = F.inv(aug[col][col])
-        aug[col] = [F.mul(inv_p, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
+    if _gauss_jordan(aug, n, F)[0] < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in aug)
 
 
 def mat_det(a: Matrix, F: FiniteField) -> int:
-    n = len(a)
-    m = [list(row) for row in a]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = F.neg(det)
-        det = F.mul(det, m[col][col])
-        inv_p = F.inv(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = F.mul(m[r][col], inv_p)
-                m[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(m[r], m[col])]
-    return det
+    return _gauss_jordan([list(row) for row in a], len(a), F)[1]
+
+
+def mat_rank(a: Matrix, F: FiniteField) -> int:
+    return _gauss_jordan([list(row) for row in a], len(a), F)[0]
 
 
 def conj_transpose(a: Matrix, F: FiniteField, q: int) -> Matrix:
@@ -113,6 +117,15 @@ def form_matrix(n: int, F: FiniteField) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # group views
+
+
+def element_order(g, mul, identity) -> int:
+    """Multiplicative order of g, by walking its powers up to the identity."""
+    n, x = 1, g
+    while x != identity:
+        x = mul(x, g)
+        n += 1
+    return n
 
 
 @dataclass
@@ -150,11 +163,7 @@ class GroupView:
         return self._classes
 
     def element_order(self, g) -> int:
-        n, x = 1, g
-        while x != self.identity:
-            x = self.mul(x, g)
-            n += 1
-        return n
+        return element_order(g, self.mul, self.identity)
 
     def exponent(self) -> int:
         out = 1
@@ -338,6 +347,8 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
     """
     if kind not in ("GL", "SL", "GU", "SU"):
         raise OracleError(f"unknown kind {kind}")
+    if n < 1:
+        raise OracleError(f"n={n} must be >= 1")
     eps = 1 if kind in ("GL", "SL") else -1
     sp = spp(eps, q)
     special = kind in ("SL", "SU")
@@ -391,50 +402,35 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
 # automorphisms
 
 
-def frobenius_map(G: MatrixGroup, g: Matrix) -> Matrix:
+def frobenius_twist(g: Matrix, F: FiniteField) -> Matrix:
     """Entrywise p-power Frobenius."""
-    F = G.F
-    out = tuple(tuple(F.frobenius(x) for x in row) for row in g)
+    return tuple(tuple(F.frobenius(x) for x in row) for row in g)
+
+
+def gamma_twist(g: Matrix, F: FiniteField, v0: Matrix) -> Matrix:
+    """The twist gamma(g) = v0 . (g^T)^(-1) . v0^(-1)."""
+    gt = tuple(zip(*g))
+    return mat_mul(mat_mul(v0, mat_inv(gt, F), F), mat_inv(v0, F), F)
+
+
+def frobenius_map(G: MatrixGroup, g: Matrix) -> Matrix:
+    """frobenius_twist on G, checked to stay inside G."""
+    out = frobenius_twist(g, G.F)
     if out not in G.index:
         raise OracleError("Frobenius image left the group")
     return out
 
 
 def gamma_map(G: MatrixGroup, g: Matrix) -> Matrix:
-    """The twist gamma(g) = v0 . (g^T)^(-1) . v0^(-1)."""
-    F = G.F
-    gt = tuple(zip(*g))
-    gti = mat_inv(tuple(tuple(row) for row in gt), F)
-    out = mat_mul(mat_mul(G.v0, gti, F), mat_inv(G.v0, F), F)
+    """gamma_twist on G with its form v0, checked to stay inside G."""
+    out = gamma_twist(g, G.F, G.v0)
     if out not in G.index:
         raise OracleError("gamma image left the group")
     return out
 
 
-def apply_automorphism(G: MatrixGroup, which: str, g: Matrix) -> Matrix:
-    if which == "frobenius":
-        return frobenius_map(G, g)
-    if which == "gamma":
-        return gamma_map(G, g)
-    raise OracleError(f"unknown automorphism {which}")
-
-
 # ---------------------------------------------------------------------------
 # subgroup machinery
-
-
-def centralizer_order(view: GroupView, g) -> int:
-    part = view.conjugacy_classes()
-    k = part.class_map[g]
-    return view.order // part.sizes[k]
-
-
-def center(view: GroupView) -> GroupView:
-    gens = view.generators or view.elements
-    elems = [
-        x for x in view.elements if all(view.mul(x, g) == view.mul(g, x) for g in gens)
-    ]
-    return subgroup_view(view, elems)
 
 
 def normalizer(view: GroupView, sub: GroupView) -> GroupView:
@@ -479,14 +475,3 @@ def sylow_subgroup(view: GroupView, ell: int) -> GroupView:
         if not grown:
             raise OracleError("Sylow climbing stalled")  # pragma: no cover
     return current
-
-
-def conjugates_of_subgroup(view: GroupView, sub: GroupView) -> int:
-    """Number of distinct conjugates of sub inside view."""
-    seen = set()
-    mul, inv = view.mul, view.inv
-    base = frozenset(sub.elements)
-    for g in view.elements:
-        gi = inv(g)
-        seen.add(frozenset(mul(g, mul(s, gi)) for s in sub.elements))
-    return len(seen)

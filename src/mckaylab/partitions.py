@@ -2,17 +2,17 @@
 
 Hook lengths, e-core/e-quotient decompositions via beta-sets, generic degrees
 of unipotent characters of GL_n(eps*q) evaluated exactly at the signed prime
-power, symmetric group dimensions, and irreducible labels of wreath products
-C_e wr S_w.  Partitions are weakly decreasing tuples of positive ints.
+power, and irreducible labels and degrees of wreath products C_e wr S_w
+(for w = |mu|, the label (mu,) gives the S_w dimension by the hook formula).
+Partitions are weakly decreasing tuples of positive ints.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import combinations_with_replacement
 
-from .exactfield import CertificateError, SignedPrimePower, ell_val
+from .exactfield import CertificateError, SignedPrimePower
 
 Partition = tuple[int, ...]
 WreathLabel = tuple[Partition, ...]
@@ -35,12 +35,6 @@ def partitions(n: int) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     return tuple(gen(n, n))
-
-
-def is_partition(lam: Partition) -> bool:
-    return all(isinstance(x, int) and x > 0 for x in lam) and all(
-        lam[i] >= lam[i + 1] for i in range(len(lam) - 1)
-    )
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -149,18 +143,6 @@ def generic_degree(lam: Partition, sp: SignedPrimePower) -> int:
     return abs(quotient)
 
 
-def symmetric_dim(mu: Partition) -> int:
-    """Dimension of the S_|mu| irreducible labelled by mu (hook formula)."""
-    size = sum(mu)
-    den = 1
-    for h in hook_lengths(mu):
-        den *= h
-    dim, rem = divmod(math.factorial(size), den)
-    if rem:
-        raise CertificateError(f"hook product of {mu} does not divide {size}!")
-    return dim
-
-
 @cache
 def wreath_labels(e: int, w: int) -> tuple[WreathLabel, ...]:
     """All e-tuples of partitions with total size w, in a fixed order."""
@@ -201,22 +183,3 @@ def wreath_irr(e: int, w: int) -> tuple[tuple[WreathLabel, int], ...]:
     if sum(d * d for _, d in out) != e**w * math.factorial(w):
         raise CertificateError(f"degrees of C_{e} wr S_{w} miss the group order")
     return out
-
-
-def wreath_degree_val(label: WreathLabel, ell: int) -> int:
-    return ell_val(wreath_degree(label), ell)
-
-
-def multipartitions(sizes: tuple[int, ...]) -> tuple[tuple[Partition, ...], ...]:
-    """All tuples of partitions with the given component sizes."""
-    if not sizes:
-        return ((),)
-    rest = multipartitions(sizes[1:])
-    return tuple((lam,) + tail for lam in partitions(sizes[0]) for tail in rest)
-
-
-def e_cores_of_size(size: int, e: int) -> tuple[Partition, ...]:
-    """All partitions of the given size that are e-cores."""
-    return tuple(
-        lam for lam in partitions(size) if all(h % e != 0 for h in hook_lengths(lam))
-    )

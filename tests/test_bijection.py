@@ -26,7 +26,7 @@ from mckaylab.bijection import (
     run_grid,
     verify_vs_oracle,
 )
-from mckaylab.exactfield import spp
+from mckaylab.exactfield import ell_val, spp
 from mckaylab.charparams import degree
 from mckaylab.localside import local_degree
 from mckaylab.matrixoracle import build_group
@@ -228,6 +228,25 @@ def test_checks_fail_on_one_wrong_table_entry(corrupt, check):
     assert witnesses
 
 
+def test_ellprime_count_does_not_read_the_degree_table(monkeypatch):
+    # One ell-prime degree made divisible by ell, in the cell's table and in
+    # the memoised one: a count read off the same table would agree with it.
+    cell = Cell(2, -1, 2, 3)
+    table = charparams.group_table(cell.n, cell.sp)
+    i = next(i for i, d in enumerate(table.degrees) if ell_val(d, cell.ell) == 0)
+    wrong = replace(table, degrees=_set(table.degrees, i,
+                                        table.degrees[i] * cell.ell))
+    original = charparams.group_table
+    monkeypatch.setattr(
+        charparams, "group_table",
+        lambda n, sp: wrong if (n, sp) == (cell.n, cell.sp) else original(n, sp))
+    witnesses = []
+    ok, _, _ = check_ellprime(replace(cell_data(cell), group=wrong),
+                              lambda kind, **payload: witnesses.append(kind))
+    assert ok is False
+    assert "ellprime_count" in witnesses
+
+
 # ---------------------------------------------------------------------------
 # no repeated work
 
@@ -270,10 +289,16 @@ def test_certificates_run_under_optimize():
         "    wreath_index(bad, 2, spp(1, 3), 2)\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        "from mckaylab import gggr\n"
+        "gggr.psi_exponent = lambda F, exact2, u, g: 1   # not additive\n"
+        "try:\n"
+        "    gggr.check_homomorphism((2,), 3)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["ok", "raised"]
+    assert out.stdout.split() == ["ok", "raised", "raised"]

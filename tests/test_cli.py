@@ -143,3 +143,39 @@ def test_verify_rejects_invalid_grid_rows(tmp_path):
         grid = tmp_path / "cells.json"
         grid.write_text(json.dumps([row]))
         assert run("verify", "--grid", str(grid)).exit_code == 2, row
+
+
+def test_verify_workers_report_cell_errors_like_one_worker(tmp_path):
+    # GL(3,4) passes the order cap of 200000 but not build_group's limit of
+    # 25000, so its oracle raises OracleError inside check_cell.
+    grid = tmp_path / "cells.json"
+    grid.write_text(json.dumps([[3, 1, 4, 3], [2, 1, 3, 2]]))
+    args = ("verify", "--grid", str(grid), "--limit", "200000",
+            "--format", "json")
+    one = run(*args, "--workers", "1")
+    two = run(*args, "--workers", "2")
+    assert one.exit_code == two.exit_code == 1
+    assert one.output == two.output
+    statuses = [r["status"] for r in json.loads(one.output)]
+    assert statuses == ["ok", "error"]
+
+
+def test_oracle_rejects_empty_rank():
+    res = run("oracle", "--kind", "GL", "--n", "0", "--q", "3")
+    assert res.exit_code == 2
+    assert "n=0" in res.output
+
+
+def test_gggr_mult_one_rejects_groups_over_the_limit():
+    res = run("gggr", "--check", "mult-one", "--n", "4", "--q", "3")
+    assert res.exit_code == 2
+    assert "exceeds limit" in res.output
+
+
+def test_gggr_group_checks_reject_invalid_groups():
+    for check in ("hom", "gamma-conj", "mult-one"):
+        res = run("gggr", "--check", check, "--n", "2", "--q", "6")
+        assert res.exit_code == 2, check
+        assert "not a prime power" in res.output
+        assert run("gggr", "--check", check, "--n", "0",
+                   "--q", "2").exit_code == 2, check

@@ -4,19 +4,15 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from mckaylab.exactfield import ell_val, spp
+from mckaylab.exactfield import spp
 from mckaylab.partitions import (
     conjugate,
     e_core_quotient,
-    e_cores_of_size,
     from_core_quotient,
     generic_degree,
     hook_lengths,
-    multipartitions,
     partitions,
-    symmetric_dim,
     wreath_degree,
-    wreath_degree_val,
     wreath_irr,
     wreath_labels,
 )
@@ -45,10 +41,11 @@ def test_hooks_are_conjugation_invariant(lam):
 
 
 def test_symmetric_dims_square_to_factorial():
+    # the one-component wreath label (mu,) is the S_|mu| irreducible mu
     for n in range(1, 7):
-        assert sum(symmetric_dim(lam) ** 2 for lam in partitions(n)) \
+        assert sum(wreath_degree((lam,)) ** 2 for lam in partitions(n)) \
             == math.factorial(n)
-    assert symmetric_dim((2, 1)) == 2
+    assert wreath_degree(((2, 1),)) == 2
 
 
 @given(small_partitions, st.integers(2, 6))
@@ -67,14 +64,6 @@ def test_core_quotient_known_case():
     assert e_core_quotient((2, 1), 2) == ((2, 1), ((), ()), 0)
     core, quot, w = e_core_quotient((2, 2), 2)
     assert core == () and w == 2
-
-
-def test_e_cores_of_size_returns_only_cores():
-    for size in range(5):
-        for e in (2, 3):
-            for core in e_cores_of_size(size, e):
-                assert sum(core) == size
-                assert e_core_quotient(core, e)[2] == 0
 
 
 def test_generic_degrees_match_rank_two_tables():
@@ -96,17 +85,3 @@ def test_wreath_irr_mass_formula():
             pairs = wreath_irr(e, w)
             assert all(d == wreath_degree(l) for l, d in pairs)
             assert sum(d * d for _, d in pairs) == e**w * math.factorial(w)
-
-
-def test_wreath_degree_val_agrees_with_direct_valuation():
-    for e in (2, 3):
-        for w in (1, 2, 3):
-            for lab in wreath_labels(e, w):
-                for ell in (2, 3, 5):
-                    assert wreath_degree_val(lab, ell) \
-                        == ell_val(wreath_degree(lab), ell)
-
-
-def test_multipartition_counts_are_products():
-    assert len(multipartitions((2, 1))) == len(partitions(2)) * len(partitions(1))
-    assert len(multipartitions(())) == 1
