@@ -28,6 +28,7 @@ from sympy import isprime
 
 from .exactfield import (
     SignedPrimePower,
+    element_order,
     ell_part,
     ell_val,
     group_order,
@@ -36,12 +37,11 @@ from .exactfield import (
 )
 from .charparams import (
     GlobalChar,
-    GroupTable,
+    LabelTable,
     count_ellprime,
     count_irr_sl,
     count_jordan_params,
     ellprime_structural,
-    global_relevant,
     group_table,
     index_order,
     to_params,
@@ -50,13 +50,9 @@ from .localside import (
     LocalChar,
     TransportError,
     enumerate_ellprime_params,
-    enumerate_local_irr,
-    local_central_label,
-    local_degree,
-    local_ellprime,
     local_ellprime_structural,
     local_order,
-    local_zhat_act,
+    local_table,
     torus_data,
     transport,
 )
@@ -64,7 +60,6 @@ from . import dixon
 from .matrixoracle import (
     OracleError,
     build_group,
-    element_order,
     identity_matrix,
     mat_mul,
     normalizer,
@@ -146,47 +141,27 @@ def local_to_params(psi: LocalChar) -> dict:
 class CellData:
     """Label-level facts of one cell, computed once and read by every check.
 
-    The global side is the per-group table.  Local entry j describes
-    local[j]: its degree, translation stabilizer order, central label and
-    ltranslates[j][z], the position of local_zhat_act(local[j], ..., z).
-    pairs holds (i, j) when relevant global character i transports to local
+    group and local are the label tables of G and of the local N.  pairs
+    holds (i, j) when relevant global character i transports to local
     character j; transport_errors holds (i, message) for the relevant global
     characters without a local image.
     """
 
     cell: Cell
-    group: GroupTable
-    local: tuple
-    lindex: dict
-    ldegrees: tuple
-    lstabs: tuple
-    lcentrals: tuple
-    ltranslates: tuple
-    lrelevant: tuple
+    group: LabelTable
+    local: LabelTable
     pairs: tuple
     transport_errors: tuple
 
 
 def cell_data(cell: Cell) -> CellData:
     n, sp, ell = cell.n, cell.sp, cell.ell
-    m1 = torus_data(n, sp, ell).m1
     group = group_table(n, sp)
-    local = enumerate_local_irr(n, sp, ell)
-    lindex = {psi: j for j, psi in enumerate(local)}
-    ltranslates = tuple(
-        tuple(lindex[local_zhat_act(psi, n, sp, ell, z)] for z in range(m1))
-        for psi in local)
-    ldegrees = tuple(local_degree(psi, n, sp, ell) for psi in local)
-    lstabs = tuple(row.count(j) for j, row in enumerate(ltranslates))
-    # the relevance rule of local_relevant, on the stored facts
-    lrelevant = tuple(j for j, (d, t) in enumerate(zip(ldegrees, lstabs))
-                      if ell_val(d, ell) == ell_val(t, ell))
+    local = local_table(n, sp, ell)
     pairs, errors = [], []
-    for i, chi in enumerate(group.chars):
-        if not global_relevant(chi, n, sp, ell):
-            continue
+    for i in group.relevant(ell):
         try:
-            j = lindex.get(transport(chi, n, sp, ell))
+            j = local.index.get(transport(group.chars[i], n, sp, ell))
         except TransportError as exc:
             errors.append((i, str(exc)))
             continue
@@ -194,12 +169,8 @@ def cell_data(cell: Cell) -> CellData:
             errors.append((i, "image is not a local character"))
         else:
             pairs.append((i, j))
-    return CellData(
-        cell=cell, group=group, local=local, lindex=lindex,
-        ldegrees=ldegrees, lstabs=lstabs,
-        lcentrals=tuple(local_central_label(psi, n, sp, ell) for psi in local),
-        ltranslates=ltranslates, lrelevant=lrelevant,
-        pairs=tuple(pairs), transport_errors=tuple(errors))
+    return CellData(cell=cell, group=group, local=local, pairs=tuple(pairs),
+                    transport_errors=tuple(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +184,11 @@ def check_bijective(data: CellData, note) -> bool:
         note("transport", global_char=to_params(data.group.chars[i]),
              error=error)
     images = [j for _, j in data.pairs]
+    relevant = data.local.relevant(data.cell.ell)
     ok = (not data.transport_errors and len(set(images)) == len(images)
-          and set(images) == set(data.lrelevant))
+          and set(images) == set(relevant))
     if not ok and not data.transport_errors:
-        note("bijective", n_pairs=len(data.pairs), n_local=len(data.lrelevant))
+        note("bijective", n_pairs=len(data.pairs), n_local=len(relevant))
     return ok
 
 
@@ -224,10 +196,10 @@ def check_central(data: CellData, note) -> bool:
     """Paired characters have the same central character."""
     ok = True
     for i, j in data.pairs:
-        if data.group.centrals[i] != data.lcentrals[j]:
+        if data.group.centrals[i] != data.local.centrals[j]:
             ok = False
             note("central", global_char=to_params(data.group.chars[i]),
-                 local_char=local_to_params(data.local[j]))
+                 local_char=local_to_params(data.local.chars[j]))
     return ok
 
 
@@ -244,11 +216,11 @@ def check_zhat(data: CellData, note) -> bool:
         for i, j in data.pairs:
             t = g.translates[i][z]
             try:
-                lhs = image[t] if t in image else data.lindex.get(
+                lhs = image[t] if t in image else data.local.index.get(
                     transport(g.chars[t], cell.n, cell.sp, cell.ell))
             except TransportError:
                 lhs = None
-            if lhs != data.ltranslates[j][z]:
+            if lhs != data.local.translates[j][z]:
                 ok = False
                 note("zhat", z=z, global_char=to_params(g.chars[i]))
     return ok
@@ -256,11 +228,11 @@ def check_zhat(data: CellData, note) -> bool:
 
 def check_in_congruence(data: CellData, note) -> bool:
     """Constituent degrees satisfy r = +/- r' (mod ell) across each pair."""
-    g, ell = data.group, data.cell.ell
+    g, loc, ell = data.group, data.local, data.cell.ell
     ok = True
     for i, j in data.pairs:
         r = g.degrees[i] // g.stabs[i]
-        rp = data.ldegrees[j] // data.lstabs[j]
+        rp = loc.degrees[j] // loc.stabs[j]
         if (r - rp) % ell != 0 and (r + rp) % ell != 0:
             ok = False
             note("in_congruence", r=r, r_prime=rp,
@@ -287,34 +259,31 @@ def check_ellprime(data: CellData, note) -> tuple[bool, int, int]:
     cell, g = data.cell, data.group
     n, sp, ell = cell.n, cell.sp, cell.ell
     ok = True
-    n_global = 0
-    for chi, deg in zip(g.chars, g.degrees):
-        direct = ell_val(deg, ell) == 0
-        n_global += direct
+    prime = set(g.ellprime(ell))
+    for i, (chi, deg) in enumerate(zip(g.chars, g.degrees)):
+        direct = i in prime
         if (direct != ellprime_structural(chi, n, sp, ell)
                 or direct != _jordan_ellprime(chi, deg, n, sp, ell)):
             ok = False
             note("ellprime_equiv", side="global", global_char=to_params(chi))
-    n_local = 0
-    for psi, deg in zip(data.local, data.ldegrees):
-        direct = ell_val(deg, ell) == 0
-        n_local += direct
-        if direct != local_ellprime_structural(psi, n, sp, ell):
+    lprime = set(data.local.ellprime(ell))
+    for j, psi in enumerate(data.local.chars):
+        if (j in lprime) != local_ellprime_structural(psi, n, sp, ell):
             ok = False
             note("ellprime_equiv", side="local",
                  local_char=local_to_params(psi))
     combinatorial = len(enumerate_ellprime_params(n, sp, ell))
-    if n_global != combinatorial:
+    if len(prime) != combinatorial:
         ok = False
-        note("ellprime_count", direct=n_global, combinatorial=combinatorial)
-    return ok, n_global, n_local
+        note("ellprime_count", direct=len(prime), combinatorial=combinatorial)
+    return ok, len(prime), len(lprime)
 
 
 def check_sum_squares(data: CellData, note) -> bool:
     """Squared degrees sum to the group orders on both sides."""
     cell = data.cell
     sum_global = sum(d * d for d in data.group.degrees)
-    sum_local = sum(d * d for d in data.ldegrees)
+    sum_local = sum(d * d for d in data.local.degrees)
     ok = (sum_global == group_order(cell.n, cell.sp)
           and sum_local == local_order(cell.n, cell.sp, cell.ell))
     if not ok:
@@ -336,7 +305,8 @@ def omega_tilde(cell: Cell) -> tuple:
     data = cell_data(cell)
     if not check_bijective(data, lambda check, **payload: None):
         raise TransportError(f"pairing is not bijective on {cell.label()}")
-    return tuple((data.group.chars[i], data.local[j]) for i, j in data.pairs)
+    return tuple((data.group.chars[i], data.local.chars[j])
+                 for i, j in data.pairs)
 
 
 def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
@@ -409,7 +379,7 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
         "degenerate": torus_data(n, sp, cell.ell).a == 0,
         "counts": {
             "global": len(data.pairs),
-            "local": len(data.lrelevant),
+            "local": len(data.local.relevant(cell.ell)),
             "ellprime_global": n_ellprime_global,
             "ellprime_local": n_ellprime_local,
             "per_nu": dict(sorted(per_nu.items())),
@@ -545,9 +515,9 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
     record("global_ellprime", got_lp == want_lp,
            oracle=got_lp, combinatorial=want_lp)
 
-    local = enumerate_local_irr(n, sp, ell)
-    want_local_deg = sorted(local_degree(psi, n, sp, ell) for psi in local)
-    want_local_lp = sum(local_ellprime(psi, n, sp, ell) for psi in local)
+    local = local_table(n, sp, ell)
+    want_local_deg = sorted(local.degrees)
+    want_local_lp = len(local.ellprime(ell))
 
     P = sylow_subgroup(G, ell)
     NP = normalizer(G, P)
@@ -565,8 +535,8 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
     got_nt_deg = sorted(nt_table.degrees)
     record("torus_normalizer_degrees", got_nt_deg == want_local_deg,
            expected=want_local_deg, got=got_nt_deg)
-    record("torus_normalizer_count", len(nt_table.chars) == len(local),
-           oracle=len(nt_table.chars), combinatorial=len(local))
+    record("torus_normalizer_count", len(nt_table.chars) == len(local.chars),
+           oracle=len(nt_table.chars), combinatorial=len(local.chars))
     got_nt_lp = len(dixon.irr_ellprime(nt_table, ell))
     record("torus_normalizer_ellprime", got_nt_lp == want_local_lp,
            oracle=got_nt_lp, combinatorial=want_local_lp)

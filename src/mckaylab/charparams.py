@@ -88,12 +88,12 @@ def zhat_act(chi: GlobalChar, sp: SignedPrimePower, z: int) -> GlobalChar:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupTable:
-    """Label-level facts of every irreducible character of one group.
+class LabelTable:
+    """Label-level facts of every irreducible character on one side.
 
     Entry i describes chars[i]: its degree, central character, translation
-    stabilizer order, and translates[i][z], the position of
-    zhat_act(chars[i], sp, z) for z in Z/M_1.
+    stabilizer order, and translates[i][z], the position of its z-th
+    translate for z in Z/M_1.  The same type serves G and the local N.
     """
 
     chars: tuple
@@ -103,32 +103,52 @@ class GroupTable:
     translates: tuple
     stabs: tuple
 
+    def relevant(self, ell: int) -> tuple:
+        """Positions of the characters over an ell-prime character of the
+        determinant-one part.
 
-@cache
-def group_table(n: int, sp: SignedPrimePower) -> GroupTable:
-    """The table of Irr(GL_n(eps q)), built once for the life of the process."""
-    chars = enumerate_irr(n, sp)
-    index = {chi: i for i, chi in enumerate(chars)}
-    m1 = eigen_modulus(1, sp)
-    translates = tuple(tuple(index[zhat_act(chi, sp, z)] for z in range(m1))
-                       for chi in chars)
-    return GroupTable(
+        Restriction to that part is multiplicity free with t = |stab|
+        constituents of equal degree, so the constituents are ell-prime
+        exactly when the valuations of degree and stabilizer order agree.
+        """
+        return tuple(i for i, (d, t) in enumerate(zip(self.degrees, self.stabs))
+                     if ell_val(d, ell) == ell_val(t, ell))
+
+    def ellprime(self, ell: int) -> tuple:
+        """Positions of the characters of ell-prime degree."""
+        return tuple(i for i, d in enumerate(self.degrees) if ell_val(d, ell) == 0)
+
+
+def label_table(chars: tuple, degree, central, translate, m1: int) -> LabelTable:
+    """Tabulate degree(c), central(c) and translate(c, z) for z in Z/m1."""
+    index = {c: i for i, c in enumerate(chars)}
+    translates = tuple(tuple(index[translate(c, z)] for z in range(m1))
+                       for c in chars)
+    return LabelTable(
         chars=chars,
         index=index,
-        degrees=tuple(degree(chi, n, sp) for chi in chars),
-        centrals=tuple(central_char(chi, sp) for chi in chars),
+        degrees=tuple(degree(c) for c in chars),
+        centrals=tuple(central(c) for c in chars),
         translates=translates,
         stabs=tuple(row.count(i) for i, row in enumerate(translates)),
     )
 
 
+@cache
+def group_table(n: int, sp: SignedPrimePower) -> LabelTable:
+    """The table of Irr(GL_n(eps q)), built once for the life of the process."""
+    return label_table(enumerate_irr(n, sp), lambda chi: degree(chi, n, sp),
+                       lambda chi: central_char(chi, sp),
+                       lambda chi, z: zhat_act(chi, sp, z), eigen_modulus(1, sp))
+
+
 def is_ellprime(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
     table = group_table(n, sp)
-    return ell_val(table.degrees[table.index[chi]], ell) == 0
+    return table.index[chi] in table.ellprime(ell)
 
 
 def count_ellprime(n: int, sp: SignedPrimePower, ell: int) -> int:
-    return sum(1 for chi in enumerate_irr(n, sp) if is_ellprime(chi, n, sp, ell))
+    return len(group_table(n, sp).ellprime(ell))
 
 
 def _factors_ellprime(chi: GlobalChar, sp: SignedPrimePower, ell: int) -> bool:
@@ -156,16 +176,9 @@ def ellprime_structural(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int)
 
 
 def global_relevant(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
-    """Does chi lie over an ell-prime character of the det-one subgroup?
-
-    Restriction to the determinant-one subgroup is multiplicity free
-    with t = |stab| constituents of equal degree, so the constituents
-    are ell-prime exactly when the valuations of degree and stabilizer
-    order agree.
-    """
+    """Does chi lie over an ell-prime character of the det-one subgroup?"""
     table = group_table(n, sp)
-    i = table.index[chi]
-    return ell_val(table.degrees[i], ell) == ell_val(table.stabs[i], ell)
+    return table.index[chi] in table.relevant(ell)
 
 
 def _is_ell_power(x: int, ell: int) -> bool:

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import click
+from sympy import isprime
 
 from . import dixon, gggr
 from .bijection import (
@@ -27,7 +28,7 @@ from .bijection import (
     run_cell,
     run_grid,
 )
-from .exactfield import spp
+from .exactfield import CertificateError, spp
 from .matrixoracle import OracleError, build_group
 from .partitions import partitions
 
@@ -150,6 +151,8 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
               default="table", show_default=True)
 def oracle(kind, n, q, ell, out, fmt) -> None:
     """Exact conjugacy and character data for one finite matrix group."""
+    if ell is not None and not isprime(ell):
+        raise click.UsageError(f"ell={ell} is not prime")
     try:
         group = build_group(kind, n, q)
     except ValueError as exc:   # OracleError, or q not a prime power
@@ -229,12 +232,15 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
             for lam in lams:
                 try:
                     _, g = gggr.check_gamma_conjugacy(lam, q)
-                    witnesses.append({"lambda": list(lam),
-                                      "witness": [list(r) for r in g]})
-                    lines.append(f"lambda={lam}: witness found")
                 except OracleError as exc:
+                    raise click.UsageError(str(exc))
+                except CertificateError as exc:
                     failed = True
                     lines.append(f"lambda={lam}: FAIL {exc}")
+                    continue
+                witnesses.append({"lambda": list(lam),
+                                  "witness": [list(r) for r in g]})
+                lines.append(f"lambda={lam}: witness found")
             payload["witnesses"] = witnesses
         elif which == "hom":
             results = []

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 from sympy import Poly, Symbol, cyclotomic_poly, factorint, isprime
 
+from .exactfield import CertificateError
+
 
 class CycContext:
     """Arithmetic in Z[zeta_N] modulo the N-th cyclotomic polynomial.
@@ -30,7 +32,8 @@ class CycContext:
     def __init__(self, N: int):
         x = Symbol("x")
         coeffs = [int(c) for c in Poly(cyclotomic_poly(N, x), x).all_coeffs()]
-        assert coeffs[0] == 1
+        if coeffs[0] != 1:
+            raise CertificateError("cyclotomic polynomial is not monic")
         self.N = N
         self.deg = len(coeffs) - 1
         # little-endian coefficients of Phi_N minus the leading term
@@ -41,7 +44,8 @@ class CycContext:
         for _ in range(N - 1):
             pows.append(self._mul_zeta(pows[-1]))
         self.zeta_pow = tuple(pows)
-        assert self._mul_zeta(self.zeta_pow[-1]) == self.one
+        if self._mul_zeta(self.zeta_pow[-1]) != self.one:
+            raise CertificateError(f"zeta^{N} is not one")
 
     def _mul_zeta(self, a: tuple) -> tuple:
         top = a[-1]
@@ -101,14 +105,16 @@ class CycContext:
         return all(c == 0 for c in a[1:])
 
     def as_int(self, a: tuple) -> int:
-        assert self.is_rational(a), "value is not rational"
+        if not self.is_rational(a):
+            raise CertificateError("value is not rational")
         return a[0]
 
     def divide_int(self, a: tuple, n: int) -> tuple:
         out = []
         for c in a:
             q, rem = divmod(c, n)
-            assert rem == 0, "inexact division of a cyclotomic integer"
+            if rem:
+                raise CertificateError("inexact division of a cyclotomic integer")
             out.append(q)
         return tuple(out)
 
@@ -177,13 +183,14 @@ def _reduce(vecs, r):
 def _rref(vecs, r):
     """Reduced row echelon basis (rows, pivot columns) of the span."""
     rows, pivots = _reduce(vecs, r)
-    assert len(rows) == len(vecs), "dependent vector in eigenbasis"
+    if len(rows) != len(vecs):
+        raise CertificateError("dependent vector in eigenbasis")
     order = sorted(range(len(rows)), key=lambda i: pivots[i])
     return [rows[i] for i in order], [pivots[i] for i in order]
 
 
 def _express(v, rows, pivots, r):
-    """Coordinates of v in an RREF basis; asserts membership in the span."""
+    """Coordinates of v in an RREF basis; v must lie in the span."""
     v = [x % r for x in v]
     coords = []
     for p, prow in zip(pivots, rows):
@@ -192,7 +199,8 @@ def _express(v, rows, pivots, r):
         if c:
             for t in range(len(v)):
                 v[t] = (v[t] - c * prow[t]) % r
-    assert all(x == 0 for x in v), "vector escapes the invariant subspace"
+    if any(v):
+        raise CertificateError("vector escapes the invariant subspace")
     return coords
 
 
@@ -280,9 +288,11 @@ def _split_common_eigenspaces(mats, r):
                     for c in nb
                 ]
                 refined.append(_rref(vecs, r))
-            assert found == dim, "class matrix failed to split over F_r"
+            if found != dim:
+                raise CertificateError("class matrix failed to split over F_r")
         spaces = refined
-    assert all(len(rows) == 1 for rows, _ in spaces), "common eigenspace not 1-dim"
+    if any(len(rows) != 1 for rows, _ in spaces):
+        raise CertificateError("common eigenspace not 1-dim")
     return [rows[0] for rows, _ in spaces]
 
 
@@ -304,7 +314,7 @@ def _root_of_unity_mod(N: int, r: int) -> int:
         w = pow(g, (r - 1) // N, r)
         if pow(w, N, r) == 1 and all(pow(w, N // p, r) != 1 for p in primes):
             return w
-    raise AssertionError("no element of the required order mod r")
+    raise CertificateError("no element of the required order mod r")
 
 
 def _class_matrices(view, part):
@@ -329,14 +339,16 @@ def character_table(view) -> CharacterTable:
     part = view.conjugacy_classes()
     n_classes = part.count
     order = view.order
-    assert part.reps[0] == view.identity
+    if part.reps[0] != view.identity:
+        raise CertificateError("the first class is not the identity")
 
     N = view.exponent()
     ctx = CycContext(N)
     r = _find_prime(N, order, n_classes)
 
     spaces = _split_common_eigenspaces(_class_matrices(view, part), r)
-    assert len(spaces) == n_classes
+    if len(spaces) != n_classes:
+        raise CertificateError("fewer common eigenspaces than classes")
 
     omegas = []
     for v in spaces:
@@ -353,10 +365,12 @@ def character_table(view) -> CharacterTable:
         d = next(
             (c for c in range(1, math.isqrt(order) + 1) if c * c % r == dd), None
         )
-        assert d is not None, "no degree below sqrt(|G|) matches"
+        if d is None:
+            raise CertificateError("no degree below sqrt(|G|) matches")
         degrees.append(d)
         chars_mod.append(tuple(d * w[k] * size_inv[k] % r for k in range(n_classes)))
-    assert sum(d * d for d in degrees) == order, "sum of squared degrees is off"
+    if sum(d * d for d in degrees) != order:
+        raise CertificateError("sum of squared degrees is off")
 
     # shared lift tables: element order, power-map classes, root powers
     w_root = _root_of_unity_mod(N, r)
@@ -390,17 +404,20 @@ def character_table(view) -> CharacterTable:
                 if m:
                     total += m
                     acc = ctx.add(acc, ctx.scal(m, ctx.zeta_pow[j * (N // n_k) % N]))
-            assert total == d, "eigenvalue multiplicities do not sum to the degree"
+            if total != d:
+                raise CertificateError("eigenvalue multiplicities do not sum to the degree")
             row.append(acc)
         chars.append(tuple(row))
 
-    assert len(set(chars)) == n_classes, "lifted characters are not distinct"
+    if len(set(chars)) != n_classes:
+        raise CertificateError("lifted characters are not distinct")
     out = []
     for row in chars:
         norm = ctx.zero
         for k in range(n_classes):
             norm = ctx.add(norm, ctx.scal(part.sizes[k], ctx.mul(row[k], row[inv_class[k]])))
-        assert norm == ctx.from_int(order), "character norm is not one"
+        if norm != ctx.from_int(order):
+            raise CertificateError("character norm is not one")
         out.append(ClassFunction(view, part, ctx, row))
     out.sort(key=lambda c: (c.degree, c.values))
     return CharacterTable(view, part, ctx, tuple(out))
@@ -416,14 +433,16 @@ def trivial_character(view, ctx: CycContext = None, part=None) -> ClassFunction:
 
 
 def inner(f: ClassFunction, g: ClassFunction) -> int:
-    """Exact inner product; asserts the result is a rational integer."""
-    assert f.part is g.part and f.ctx is g.ctx
+    """Exact inner product; the result must be a rational integer."""
+    if f.part is not g.part or f.ctx is not g.ctx:
+        raise CertificateError("class functions on different class lists")
     ctx, part = f.ctx, f.part
     s = ctx.zero
     for k in range(part.count):
         s = ctx.add(s, ctx.scal(part.sizes[k], ctx.mul(f.values[k], ctx.conj(g.values[k]))))
     q, rem = divmod(ctx.as_int(s), sum(part.sizes))
-    assert rem == 0, "inner product is not an integer"
+    if rem:
+        raise CertificateError("inner product is not an integer")
     return q
 
 

@@ -1,8 +1,9 @@
 """Exact arithmetic foundation.
 
-Small finite fields with deterministic defining polynomials, multiplicative
-orders, l-part/l'-part splitting and orders of general linear and unitary
-groups.  Everything is plain integer arithmetic; nothing here is approximate.
+Small finite fields with deterministic defining polynomials (GF(p)[x]
+arithmetic from sympy's galoistools), the one power-walking order routine,
+l-part/l'-part splitting and orders of general linear and unitary groups.
+Everything is plain integer arithmetic; nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from sympy import factorint, isprime
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 FIELD_SIZE_LIMIT = 2**20
 
@@ -97,89 +100,6 @@ def factor_field(k: int, sp: SignedPrimePower) -> SignedPrimePower:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p), little-endian int tuples
-
-
-def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
-def _poly_mod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # b monic
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    while da >= db:
-        c = a[da] % p
-        if c:
-            for i in range(db + 1):
-                a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-        da -= 1
-        while da >= 0 and a[da] % p == 0:
-            da -= 1
-        a = a[: da + 1]
-    return _poly_trim(tuple(x % p for x in a))
-
-
-def _poly_powmod(a: tuple[int, ...], e: int, mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = _poly_mod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    while b:
-        # make b monic before reducing
-        lead = b[-1]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            b = tuple((c * inv) % p for c in b)
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _poly_sub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    a += (0,) * (n - len(a))
-    b += (0,) * (n - len(b))
-    return _poly_trim(tuple((x - y) % p for x, y in zip(a, b)))
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial over GF(p)."""
-    k = len(poly) - 1
-    if k == 1:
-        return True
-    x = (0, 1)
-    xq = _poly_powmod(x, p**k, poly, p)
-    if _poly_sub(xq, x, p) != ():
-        return False
-    for r in factorint(k):
-        xe = _poly_powmod(x, p ** (k // r), poly, p)
-        if _poly_gcd(poly, _poly_sub(xe, x, p), p) != (1,):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # finite fields
 
 
@@ -243,10 +163,13 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
+        p = self.p
         if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self._dec(a), self._dec(b), self.p)
-        return self._enc(_poly_mod(prod, self.modulus, self.p))
+            return (a * b) % p
+        # sympy's dense GF(p)[x] lists are big-endian
+        prod = gf_mul(self._dec(a)[::-1], self._dec(b)[::-1], p, ZZ)
+        rem = gf_rem(prod, self.modulus[::-1], p, ZZ)
+        return self._enc(tuple(int(c) for c in reversed(rem)))
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
@@ -299,11 +222,7 @@ class FiniteField:
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ExactFieldError("0 has no multiplicative order")
-        n, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            n += 1
-        return n
+        return element_order(a, self.mul, 1)
 
 
 @cache
@@ -326,13 +245,22 @@ def build_field(p: int, k: int) -> FiniteField:
             lower.append(c % p)
             c //= p
         poly = tuple(lower) + (1,)
-        if _is_irreducible(poly, p):
+        if gf_irreducible_p(poly[::-1], p, ZZ):
             return FiniteField(p, k, poly)
     raise ExactFieldError("no irreducible polynomial found")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
 # orders and valuations
+
+
+def element_order(g, mul, identity) -> int:
+    """Multiplicative order of g, by walking its powers up to the identity."""
+    n, x = 1, g
+    while x != identity:
+        x = mul(x, g)
+        n += 1
+    return n
 
 
 def mult_order(a: int, modulus: int) -> int:
@@ -344,11 +272,7 @@ def mult_order(a: int, modulus: int) -> int:
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise ExactFieldError(f"{a} is not invertible mod {modulus}")
-    n, x = 1, a
-    while x != 1:
-        x = (x * a) % modulus
-        n += 1
-    return n
+    return element_order(a, lambda x, y: x * y % modulus, 1)
 
 
 def ell_part(x: int, ell: int) -> tuple[int, int]:

@@ -271,7 +271,8 @@ def check_equivariance(lam: tuple, q: int) -> int:
 def check_gamma_conjugacy(lam: tuple, q: int):
     """A witness g in SL_n(q) conjugating u to its graph twist.
 
-    Raises OracleError if no witness exists; that would contradict the
+    Raises OracleError if SL_n(q) is past the oracle limit, and
+    CertificateError if no witness exists; that would contradict the
     rationality of the twisted class.
     """
     n = sum(lam)
@@ -283,7 +284,7 @@ def check_gamma_conjugacy(lam: tuple, q: int):
     for g in S.elements:
         if S.mul(g, u) == S.mul(target, g):
             return u, g
-    raise OracleError(f"no gamma-conjugating witness for {lam}, q={q}")
+    raise CertificateError(f"no gamma-conjugating witness for {lam}, q={q}")
 
 
 @cache

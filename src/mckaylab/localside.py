@@ -25,7 +25,14 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
-from .charparams import GlobalChar, enumerate_irr, group_table, index_order
+from .charparams import (
+    GlobalChar,
+    LabelTable,
+    enumerate_irr,
+    group_table,
+    index_order,
+    label_table,
+)
 from .exactfield import (
     CertificateError,
     SignedPrimePower,
@@ -161,10 +168,6 @@ def local_degree(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) -> int:
     return out
 
 
-def local_ellprime(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
-    return ell_val(local_degree(psi, n, sp, ell), ell) == 0
-
-
 def local_ellprime_structural(
     psi: LocalChar, n: int, sp: SignedPrimePower, ell: int
 ) -> bool:
@@ -207,13 +210,6 @@ def local_zhat_act(
     )
 
 
-def local_stab_order(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) -> int:
-    td = torus_data(n, sp, ell)
-    return sum(
-        1 for z in range(td.m1) if local_zhat_act(psi, n, sp, ell, z) == psi
-    )
-
-
 def local_central_label(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) -> int:
     """Exponent in Z/M_1 by which the centre of the big group acts.
 
@@ -230,10 +226,20 @@ def local_central_label(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) 
     return nu % td.m1
 
 
+@cache
+def local_table(n: int, sp: SignedPrimePower, ell: int) -> LabelTable:
+    """The table of Irr(N) for the cell, built once for the life of the process."""
+    return label_table(enumerate_local_irr(n, sp, ell),
+                       lambda psi: local_degree(psi, n, sp, ell),
+                       lambda psi: local_central_label(psi, n, sp, ell),
+                       lambda psi, z: local_zhat_act(psi, n, sp, ell, z),
+                       torus_data(n, sp, ell).m1)
+
+
 def local_relevant(psi: LocalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
     """Does psi lie over an ell-prime character of the det-one part?"""
-    v_deg = ell_val(local_degree(psi, n, sp, ell), ell)
-    return v_deg == ell_val(local_stab_order(psi, n, sp, ell), ell)
+    table = local_table(n, sp, ell)
+    return table.index[psi] in table.relevant(ell)
 
 
 def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalChar:

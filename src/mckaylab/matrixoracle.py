@@ -18,6 +18,7 @@ from .exactfield import (
     SignedPrimePower,
     build_field,
     ell_part,
+    element_order,
     group_order,
     sl_group_order,
     spp,
@@ -117,15 +118,6 @@ def form_matrix(n: int, F: FiniteField) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # group views
-
-
-def element_order(g, mul, identity) -> int:
-    """Multiplicative order of g, by walking its powers up to the identity."""
-    n, x = 1, g
-    while x != identity:
-        x = mul(x, g)
-        n += 1
-    return n
 
 
 @dataclass

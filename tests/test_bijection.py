@@ -165,17 +165,23 @@ def _wrong_image(data):
 def _wrong_translate(data):
     i, j = data.pairs[0]
     image = dict(data.pairs)
-    wrong = next(k for k, jk in image.items() if jk != data.ltranslates[j][1])
+    wrong = next(k for k, jk in image.items()
+                 if jk != data.local.translates[j][1])
     row = _set(data.group.translates[i], 1, wrong)
     group = replace(data.group, translates=_set(data.group.translates, i, row))
     return replace(data, group=group)
 
 
+def _wrong_local(data, field, j, value):
+    entries = getattr(data.local, field)
+    local = replace(data.local, **{field: _set(entries, j, value)})
+    return replace(data, local=local)
+
+
 def _wrong_local_translate(data):
     _, j = data.pairs[0]
-    row = data.ltranslates[j]
-    return replace(data, ltranslates=_set(data.ltranslates, j,
-                                          _set(row, 1, row[2])))
+    row = data.local.translates[j]
+    return _wrong_local(data, "translates", j, _set(row, 1, row[2]))
 
 
 def _wrong_degree(data):
@@ -188,14 +194,13 @@ def _wrong_degree(data):
 
 def _wrong_local_degree(data):
     _, j = data.pairs[0]
-    return replace(data, ldegrees=_set(data.ldegrees, j,
-                                       data.ldegrees[j] * data.cell.ell))
+    return _wrong_local(data, "degrees", j,
+                        data.local.degrees[j] * data.cell.ell)
 
 
 def _wrong_central(data):
     _, j = data.pairs[0]
-    return replace(data, lcentrals=_set(data.lcentrals, j,
-                                        (data.lcentrals[j] + 1) % 3))
+    return _wrong_local(data, "centrals", j, (data.local.centrals[j] + 1) % 3)
 
 
 def _ok(check, data, note):
@@ -277,12 +282,21 @@ def test_check_cell_computes_each_degree_and_transport_once(monkeypatch):
     assert len(set(transports)) == len(transports) == rep["counts"]["global"]
 
 
+def test_oracle_check_cell_computes_each_local_degree_once(monkeypatch):
+    localside.local_table.cache_clear()
+    local_degrees = _count_calls(monkeypatch, localside.local_degree)
+    rep = check_cell(Cell(2, 1, 3, 2))
+    assert rep["checks"]["oracle"] is True
+    assert local_degrees and len(set(local_degrees)) == len(local_degrees)
+
+
 def test_certificates_run_under_optimize():
     code = (
         "from mckaylab.bijection import Cell, check_cell\n"
         "from mckaylab.exactfield import CertificateError, spp\n"
         "from mckaylab.localside import LocalChar, wreath_index\n"
         "from mckaylab.charparams import enumerate_irr\n"
+        "from mckaylab.dixon import CycContext\n"
         "print(check_cell(Cell(2, 1, 3, 2), with_oracle=False)['status'])\n"
         "bad = LocalChar(enumerate_irr(0, spp(1, 3))[0], ((1, 3),), (((1,),),))\n"
         "try:\n"
@@ -295,10 +309,15 @@ def test_certificates_run_under_optimize():
         "    gggr.check_homomorphism((2,), 3)\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        "ctx = CycContext(12)\n"
+        "try:\n"
+        "    ctx.divide_int(ctx.from_int(3), 2)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["ok", "raised", "raised"]
+    assert out.stdout.split() == ["ok", "raised", "raised", "raised"]

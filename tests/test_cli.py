@@ -4,7 +4,9 @@ import json
 
 from click.testing import CliRunner
 
+from mckaylab import gggr
 from mckaylab.cli import main
+from mckaylab.exactfield import CertificateError
 
 
 def run(*args):
@@ -179,3 +181,26 @@ def test_gggr_group_checks_reject_invalid_groups():
         assert "not a prime power" in res.output
         assert run("gggr", "--check", check, "--n", "0",
                    "--q", "2").exit_code == 2, check
+
+
+def test_oracle_rejects_composite_ell():
+    res = run("oracle", "--kind", "GL", "--n", "2", "--q", "3", "--ell", "4")
+    assert res.exit_code == 2
+    assert "not prime" in res.output
+
+
+def test_gggr_gamma_conj_rejects_groups_over_the_limit():
+    res = run("gggr", "--check", "gamma-conj", "--n", "4", "--q", "3")
+    assert res.exit_code == 2
+    assert "exceeds limit" in res.output
+    assert "FAIL" not in res.output
+
+
+def test_gggr_gamma_conj_reports_a_missing_witness_as_a_failure(monkeypatch):
+    def no_witness(lam, q):
+        raise CertificateError(f"no gamma-conjugating witness for {lam}")
+
+    monkeypatch.setattr(gggr, "check_gamma_conjugacy", no_witness)
+    res = run("gggr", "--check", "gamma-conj", "--n", "2", "--q", "3")
+    assert res.exit_code == 1
+    assert "FAIL no gamma-conjugating witness" in res.output

@@ -111,3 +111,43 @@ def test_field_addition_has_characteristic_p():
     for a in range(F.size):
         assert F.add(F.add(a, a), a) == 0
         assert F.add(a, F.neg(a)) == 0
+
+
+# lexicographically least monic irreducible moduli, little endian
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (3, 2): (1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (7, 2): (1, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(PINNED_MODULI))
+def test_build_field_moduli_are_pinned(p, k):
+    assert build_field(p, k).modulus == PINNED_MODULI[(p, k)]
+
+
+@pytest.mark.parametrize("p,k", [(3, 5), (2, 8)])
+def test_field_axioms_without_tables(p, k):
+    # GF(243) and GF(256) are past the table limit, so every product
+    # reduces modulo the defining polynomial afresh.
+    F = build_field(p, k)
+    assert F._mul_table is None
+    for a in F.units():
+        assert F.mul(a, F.inv(a)) == 1
+    g = F.multiplicative_generator()
+    x, powers = g, []
+    for _ in range(k):
+        x = F.frobenius(x)
+        powers.append(x)
+    assert powers[-1] == g and g not in powers[:-1]
+    sample = range(1, F.size, 7)
+    for a in sample:
+        for b in sample[::5]:
+            for c in sample[::11]:
+                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))

@@ -15,9 +15,9 @@ from mckaylab.localside import (
     enumerate_local_irr,
     local_central_label,
     local_degree,
-    local_ellprime,
     local_order,
     local_relevant,
+    local_table,
     local_zhat_act,
     torus_data,
     transport,
@@ -151,8 +151,7 @@ def test_parameter_triples_count_the_ellprime_characters(n, eps, q, ell):
 def test_local_ellprime_counts_match_global():
     for n, eps, q, ell in [(2, 1, 3, 2), (3, 1, 2, 7), (2, -1, 2, 3)]:
         sp = spp(eps, q)
-        local = sum(local_ellprime(psi, n, sp, ell)
-                    for psi in enumerate_local_irr(n, sp, ell))
+        local = len(local_table(n, sp, ell).ellprime(ell))
         assert local == count_ellprime(n, sp, ell)
 
 

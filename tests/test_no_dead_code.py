@@ -14,8 +14,12 @@ ALLOWED = {
     "omega_tilde": "package API, exported by __init__",
     "verify": "CLI command, registered by its click decorator",
     "gggr_cmd": "CLI command, registered by its click decorator",
-    "local_relevant": "timed by benchmarks/tracer.py; cell_data applies its "
-                      "rule to the stored degrees and stabilizers",
+    "global_relevant": "timed by benchmarks/tracer.py; cell_data reads "
+                       "LabelTable.relevant directly",
+    "local_relevant": "timed by benchmarks/tracer.py; cell_data reads "
+                      "LabelTable.relevant directly",
+    "is_ellprime": "timed by benchmarks/tracer.py; count_ellprime reads "
+                   "LabelTable.ellprime directly",
     "sl_relevant": "independent relevance route, tested against "
                    "global_relevant",
     "from_core_quotient": "inverse of e_core_quotient, tested as a round trip",
