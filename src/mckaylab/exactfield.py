@@ -18,7 +18,8 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 FIELD_SIZE_LIMIT = 2**20
 
-# Fields at least this small precompute full multiplication/inverse tables.
+# Fields at least this small precompute full addition, negation,
+# multiplication and inverse tables.
 _TABLE_LIMIT = 128
 
 
@@ -110,6 +111,11 @@ class FiniteField:
     the residue class of sum(c_i * x**i) modulo the defining polynomial.
     Zero is 0 and one is 1 under any modulus, so prime subfield elements keep
     their usual names.
+
+    Up to _TABLE_LIMIT elements, every operation is a read of a table built
+    at construction: add_table[a][b], neg_table[a], mul_table[a][b] and
+    inv_table[a].  Past the limit the tables are None and each operation is
+    computed on the base-p digits.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -117,8 +123,10 @@ class FiniteField:
         self.k = k
         self.modulus = modulus
         self.size = p**k
-        self._mul_table: list[tuple[int, ...]] | None = None
-        self._inv_table: list[int] | None = None
+        self.add_table: list[tuple[int, ...]] | None = None
+        self.neg_table: list[int] | None = None
+        self.mul_table: list[tuple[int, ...]] | None = None
+        self.inv_table: list[int] | None = None
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -144,6 +152,28 @@ class FiniteField:
     # arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        if self.add_table is not None:
+            return self.add_table[a][b]
+        return self._add_raw(a, b)
+
+    def neg(self, a: int) -> int:
+        if self.neg_table is not None:
+            return self.neg_table[a]
+        return self._neg_raw(a)
+
+    def sub(self, a: int, b: int) -> int:
+        if self.add_table is not None:
+            return self.add_table[a][self.neg_table[b]]
+        return self._add_raw(a, self._neg_raw(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.mul_table is not None:
+            return self.mul_table[a][b]
+        return self._mul_raw(a, b)
+
+    # digit arithmetic: builds the tables, and serves fields past the limit
+
+    def _add_raw(self, a: int, b: int) -> int:
         p = self.p
         if self.k == 1:
             return (a + b) % p
@@ -153,14 +183,11 @@ class FiniteField:
         cb += (0,) * (n - len(cb))
         return self._enc(tuple((x + y) % p for x, y in zip(ca, cb)))
 
-    def neg(self, a: int) -> int:
+    def _neg_raw(self, a: int) -> int:
         p = self.p
         if self.k == 1:
             return (-a) % p
         return self._enc(tuple((-c) % p for c in self._dec(a)))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
         p = self.p
@@ -171,16 +198,11 @@ class FiniteField:
         rem = gf_rem(prod, self.modulus[::-1], p, ZZ)
         return self._enc(tuple(int(c) for c in reversed(rem)))
 
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_raw(a, b)
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._inv_table is not None:
-            return self._inv_table[a]
+        if self.inv_table is not None:
+            return self.inv_table[a]
         return self.pow(a, self.size - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -200,12 +222,13 @@ class FiniteField:
 
     def _build_tables(self) -> None:
         n = self.size
-        self._mul_table = [tuple(self._mul_raw(a, b) for b in range(n)) for a in range(n)]
+        self.add_table = [tuple(self._add_raw(a, b) for b in range(n)) for a in range(n)]
+        self.neg_table = [self._neg_raw(a) for a in range(n)]
+        self.mul_table = [tuple(self._mul_raw(a, b) for b in range(n)) for a in range(n)]
         inv = [0] * n
         for a in range(1, n):
-            row = self._mul_table[a]
-            inv[a] = row.index(1)
-        self._inv_table = inv
+            inv[a] = self.mul_table[a].index(1)
+        self.inv_table = inv
 
     # structure -----------------------------------------------------------
 

@@ -62,23 +62,26 @@ def weighted_dynkin(lam: tuple) -> tuple[tuple, tuple]:
     return h, labels
 
 
-def level_count(lam: tuple, level: int) -> int:
+def weight_counts(lam: tuple) -> Counter:
+    """Multiplicity of each basis weight."""
+    return Counter(h for h, _ in weight_multiset(lam))
+
+
+def level_count(counts: Counter, level: int) -> int:
     """Number of matrix positions of the given weight level."""
-    cnt = Counter(t[0] for t in weight_multiset(lam))
-    return sum(c * cnt.get(v + level, 0) for v, c in cnt.items())
+    return sum(c * counts.get(v + level, 0) for v, c in counts.items())
 
 
 def e1_count(lam: tuple) -> int:
-    return level_count(lam, 1)
+    return level_count(weight_counts(lam), 1)
 
 
-def parity_ok(lam: tuple) -> bool:
-    return e1_count(lam) % 2 == 0
+def parity_ok(counts: Counter) -> bool:
+    return level_count(counts, 1) % 2 == 0
 
 
-def symmetry_ok(lam: tuple) -> bool:
-    cnt = Counter(t[0] for t in weight_multiset(lam))
-    return cnt == Counter({-v: c for v, c in cnt.items()})
+def symmetry_ok(counts: Counter) -> bool:
+    return counts == Counter({-v: c for v, c in counts.items()})
 
 
 def sweep_parity_symmetry(nmax: int) -> int:
@@ -89,9 +92,10 @@ def sweep_parity_symmetry(nmax: int) -> int:
     checked = 0
     for n in range(1, nmax + 1):
         for lam in partitions(n):
-            if not parity_ok(lam):
+            counts = weight_counts(lam)
+            if not parity_ok(counts):
                 raise CertificateError(f"odd e_1 at {lam}")
-            if not symmetry_ok(lam):
+            if not symmetry_ok(counts):
                 raise CertificateError(f"asymmetric weights at {lam}")
             checked += 1
     return checked

@@ -10,6 +10,7 @@ field-encoded ints, so they hash and sort deterministically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -41,10 +42,31 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _table_dot(row, col, add: list, mul: list) -> int:
+    """Dot product read off a field's addition and multiplication tables."""
+    acc = 0
+    for x, y in zip(row, col):
+        if x and y:
+            acc = add[acc][mul[x][y]]
+    return acc
+
+
 def mat_mul(a: Matrix, b: Matrix, F: FiniteField) -> Matrix:
-    n = len(a)
-    mul, add = F.mul, F.add
+    """The product a.b.
+
+    Prime fields sum integer products and reduce once per entry; tabled
+    extension fields read the tables; larger fields use F.add and F.mul.
+    """
     bt = tuple(zip(*b))
+    if F.k == 1:
+        p, prod = F.p, operator.mul
+        return tuple([tuple([sum(map(prod, row, col)) % p for col in bt])
+                      for row in a])
+    if F.add_table is not None:
+        add, mul = F.add_table, F.mul_table
+        return tuple([tuple([_table_dot(row, col, add, mul) for col in bt])
+                      for row in a])
+    mul, add = F.mul, F.add
     out = []
     for row in a:
         new_row = []

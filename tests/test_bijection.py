@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mckaylab import bijection, charparams, localside
 from mckaylab.bijection import (
@@ -147,6 +148,20 @@ def test_run_grid_ok_on_small_sample():
 def test_cell_rejects_invalid_parameters(args):
     with pytest.raises(ValueError):
         Cell(*args)
+
+
+@st.composite
+def small_valid_cells(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    ell = draw(st.sampled_from([l for l in (2, 3, 5, 7, 11, 13) if q % l]))
+    return Cell(draw(st.integers(1, 3)), draw(st.sampled_from((1, -1))), q, ell)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_valid_cells())
+def test_random_small_valid_cells_are_ok(cell):
+    rep = check_cell(cell, with_oracle=False)
+    assert rep["status"] == "ok", (cell, rep["checks"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+from sympy import isprime, primefactors
 
 from mckaylab import gggr
 from mckaylab.cli import main
@@ -204,3 +207,35 @@ def test_gggr_gamma_conj_reports_a_missing_witness_as_a_failure(monkeypatch):
     res = run("gggr", "--check", "gamma-conj", "--n", "2", "--q", "3")
     assert res.exit_code == 1
     assert "FAIL no gamma-conjugating witness" in res.output
+
+
+@st.composite
+def invalid_grid_rows(draw):
+    """A valid row [n, eps, q, ell] with one parameter made invalid."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    row = {"n": draw(st.integers(1, 3)), "eps": draw(st.sampled_from((1, -1))),
+           "q": q, "ell": draw(st.sampled_from([l for l in (2, 3, 5, 7) if q % l]))}
+    defect = draw(st.sampled_from(("ell composite", "ell = p", "eps", "n", "q")))
+    if defect == "ell composite":
+        row["ell"] = draw(st.integers(4, 60).filter(lambda x: not isprime(x)))
+    elif defect == "ell = p":
+        row["ell"] = primefactors(q)[0]
+    elif defect == "eps":
+        row["eps"] = draw(st.integers(-5, 5).filter(lambda e: e not in (1, -1)))
+    elif defect == "n":
+        row["n"] = draw(st.integers(-3, 0))
+    else:
+        row["q"] = draw(st.integers(0, 60).filter(
+            lambda x: len(primefactors(x)) != 1))
+    return [row["n"], row["eps"], row["q"], row["ell"]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(invalid_grid_rows())
+def test_verify_grid_rejects_random_invalid_rows(row):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("cells.json").write_text(json.dumps([[2, 1, 3, 2], row]))
+        res = runner.invoke(main, ["verify", "--grid", "cells.json"],
+                            catch_exceptions=False)
+    assert res.exit_code == 2, (row, res.output)

@@ -132,12 +132,29 @@ def test_build_field_moduli_are_pinned(p, k):
     assert build_field(p, k).modulus == PINNED_MODULI[(p, k)]
 
 
+def digitwise(p, k, *elements, op):
+    """Apply op to the base-p digits of the elements, position by position."""
+    digits = [[(x // p**i) % p for i in range(k)] for x in elements]
+    return sum((op(*column) % p) * p**i for i, column in enumerate(zip(*digits)))
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 7)])
+def test_add_and_neg_tables_match_digit_arithmetic(p, k):
+    F = build_field(p, k)
+    assert F.add_table is not None and F.neg_table is not None
+    for a in range(F.size):
+        assert F.neg(a) == digitwise(p, k, a, op=lambda x: -x)
+        for b in range(F.size):
+            assert F.add(a, b) == digitwise(p, k, a, b, op=lambda x, y: x + y)
+            assert F.sub(a, b) == digitwise(p, k, a, b, op=lambda x, y: x - y)
+
+
 @pytest.mark.parametrize("p,k", [(3, 5), (2, 8)])
 def test_field_axioms_without_tables(p, k):
     # GF(243) and GF(256) are past the table limit, so every product
     # reduces modulo the defining polynomial afresh.
     F = build_field(p, k)
-    assert F._mul_table is None
+    assert F.mul_table is None and F.add_table is None
     for a in F.units():
         assert F.mul(a, F.inv(a)) == 1
     g = F.multiplicative_generator()

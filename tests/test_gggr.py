@@ -1,5 +1,7 @@
 """Generalized Gelfand-Graev data: weights, representatives, multiplicities."""
 
+from collections import Counter
+
 import pytest
 
 from mckaylab import gggr
@@ -27,6 +29,14 @@ def test_level_counts():
 def test_parity_and_symmetry_sweep_small():
     assert gggr.sweep_parity_symmetry(12) == sum(
         len(partitions(n)) for n in range(1, 13))
+
+
+def test_parity_and_symmetry_reject_bad_weights():
+    assert gggr.weight_counts((3, 1)) == Counter({-2: 1, 0: 2, 2: 1})
+    # one position of level 1: e_1 odd
+    assert not gggr.parity_ok(Counter({0: 1, 1: 1}))
+    assert not gggr.symmetry_ok(Counter({0: 1, 1: 1}))
+    assert gggr.parity_ok(Counter({-1: 1, 1: 1}))
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -1,12 +1,18 @@
 """Brute-force matrix groups: construction, classes, subgroup machinery."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from mckaylab.exactfield import build_field
 from mckaylab.matrixoracle import (
     OracleError,
     build_group,
     frobenius_map,
     gamma_map,
+    identity_matrix,
+    mat_det,
+    mat_inv,
+    mat_mul,
     normalizer,
     subgroup_closure,
     sylow_subgroup,
@@ -103,3 +109,54 @@ def test_build_group_rejects_bad_input():
         build_group("SP", 2, 3)
     with pytest.raises(OracleError):
         build_group("GL", 4, 7, limit=1000)
+
+
+# ---------------------------------------------------------------------------
+# matrix kernels against scalar arithmetic
+
+
+def reference_mul(a, b, F):
+    """The matrix product written with F.add and F.mul, entry by entry."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = F.add(acc, F.mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def square_matrices(F, n):
+    row = st.tuples(*[st.integers(0, F.size - 1)] * n)
+    return st.tuples(*[row] * n)
+
+
+@st.composite
+def field_and_two_matrices(draw, fields):
+    F = build_field(*draw(st.sampled_from(fields)))
+    mat = square_matrices(F, draw(st.integers(1, 4)))
+    return F, draw(mat), draw(mat)
+
+
+# GF(2), GF(5) take the prime kernel, GF(4), GF(9), GF(25) the table
+# kernel, and GF(243), past the table limit, the scalar fallback.
+KERNEL_FIELDS = ((2, 1), (5, 1), (2, 2), (3, 2), (5, 2), (3, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_two_matrices(KERNEL_FIELDS))
+def test_mat_mul_matches_scalar_reference(case):
+    F, a, b = case
+    assert mat_mul(a, b, F) == reference_mul(a, b, F)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_and_two_matrices(((2, 2), (3, 2))))
+def test_mat_inv_is_a_left_inverse(case):
+    F, a, _ = case
+    assume(mat_det(a, F) != 0)
+    assert mat_mul(mat_inv(a, F), a, F) == identity_matrix(len(a))
