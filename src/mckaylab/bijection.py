@@ -206,21 +206,16 @@ def check_central(data: CellData, note) -> bool:
 def check_zhat(data: CellData, note) -> bool:
     """transport(zhat_act(chi, z)) == local_zhat_act(transport(chi), z).
 
-    The left side is read from the stored pairs, and transported afresh
-    when the translate has no stored image; every (chi, z) is evaluated.
+    The left side is read from the stored pairs: relevance depends only on
+    degree and stabilizer order, which translation keeps, so a translate
+    with no stored image is a failure.  Every (chi, z) is evaluated.
     """
     cell, g = data.cell, data.group
     image = dict(data.pairs)
     ok = True
     for z in range(torus_data(cell.n, cell.sp, cell.ell).m1):
         for i, j in data.pairs:
-            t = g.translates[i][z]
-            try:
-                lhs = image[t] if t in image else data.local.index.get(
-                    transport(g.chars[t], cell.n, cell.sp, cell.ell))
-            except TransportError:
-                lhs = None
-            if lhs != data.local.translates[j][z]:
+            if image.get(g.translates[i][z]) != data.local.translates[j][z]:
                 ok = False
                 note("zhat", z=z, global_char=to_params(g.chars[i]))
     return ok
@@ -426,7 +421,7 @@ def explicit_torus(G, ell: int):
     td = torus_data(G.n, sp, ell)
     if td.a == 0:
         return subgroup_view(G, (G.identity,), (G.identity,))
-    d0, Q, n = td.d0, td.Q, G.n
+    d0, Q = td.d0, td.Q
 
     if sp.eps == 1:
         block = _primitive_companion(G.F, d0, Q)
@@ -442,34 +437,21 @@ def explicit_torus(G, ell: int):
             raise OracleError("split-side torus closure has wrong order")
         return torus
 
-    if d0 == 1:
-        # full norm-one torus: the centralizer of a regular element of it
-        target = Q**n
-        for x in G.elements:
-            if x == G.identity:
+    if td.m == 0:
+        # a maximal torus: the centralizer of a regular element of it, that
+        # is of an element whose class has size |G| / Q^a
+        classes = G.conjugacy_classes()
+        for x, size in zip(classes.reps, classes.sizes):
+            if size * Q**td.a != G.order:
                 continue
-            if Q % G.element_order(x):
-                continue
-            cent = tuple(g for g in G.elements
-                         if G.mul(g, x) == G.mul(x, g))
-            if len(cent) != target:
-                continue
-            if any(Q % G.element_order(g) for g in cent):
-                continue
-            if any(G.mul(a, b) != G.mul(b, a)
-                   for a in cent for b in cent):
-                continue
-            return subgroup_view(G, cent)
-        raise OracleError("no regular norm-one torus element found")
-
-    if td.m == 0 and td.a == 1:
-        for x in G.elements:
-            if G.element_order(x) == Q:
-                torus = subgroup_closure(G, (x,))
-                if torus.order != Q:
-                    raise OracleError("cyclic torus closure has wrong order")
+            torus = subgroup_view(G, [g for g in G.elements
+                                      if G.mul(g, x) == G.mul(x, g)])
+            gens = torus.generators
+            if all(Q % G.element_order(g) == 0 for g in gens) and all(
+                    G.mul(g, h) == G.mul(h, g) for g in gens for h in gens):
                 return torus
-        raise OracleError(f"no element of order {Q} found")
+        raise OracleError(f"no centralizer of order {Q}^{td.a} is abelian "
+                          f"of exponent dividing {Q}")
 
     raise OracleError("no explicit torus route for this unitary cell")
 

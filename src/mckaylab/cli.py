@@ -210,6 +210,8 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
     lines: list[str] = []
     payload: dict = {"check": which, "n": n}
     failed = False
+    if n < 1:
+        raise click.UsageError(f"n={n} must be >= 1")
 
     if which == "parity":
         count = gggr.sweep_parity_symmetry(n)
@@ -219,8 +221,6 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
     else:
         if q is None:
             raise click.UsageError(f"--check {which} needs --q")
-        if n < 1:
-            raise click.UsageError(f"n={n} must be >= 1")
         try:
             spp(1, q)
         except ValueError as exc:

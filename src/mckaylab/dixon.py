@@ -13,6 +13,7 @@ no randomness, and a canonical sort of the finished characters.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from sympy import Poly, Symbol, cyclotomic_poly, factorint, isprime
@@ -214,10 +215,8 @@ def _charpoly(a, r):
     cur = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     coeffs = []
     for k in range(1, m + 1):
-        am = [
-            [sum(a[i][t] * cur[t][j] for t in range(m)) % r for j in range(m)]
-            for i in range(m)
-        ]
+        cols = tuple(zip(*cur))
+        am = [[sum(map(operator.mul, row, col)) % r for col in cols] for row in a]
         c = (-sum(am[i][i] for i in range(m)) * pow(k, -1, r)) % r
         coeffs.append(c)
         if k < m:

@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import permutations, product
 
 from .exactfield import (
     FiniteField,
@@ -260,25 +261,32 @@ def closure(gens, mul, identity, limit: int = GROUP_SIZE_LIMIT) -> tuple:
     return tuple(sorted(elements))
 
 
-def find_generators(elements, mul, identity) -> tuple:
-    """Greedy small generating set for an explicitly listed group."""
-    target = set(elements)
+def find_generators(candidates, mul, identity, order: int) -> tuple[tuple, tuple]:
+    """Greedy generators of a group of known order, and its sorted elements.
+
+    Keeps each candidate outside the closure so far and stops once the
+    closure has `order` elements; `order` is also the closure limit, so a
+    candidate outside the intended group raises OracleError.
+    """
     gens: list = []
-    current = {identity}
-    for x in sorted(elements):
-        if x in current:
+    elements = (identity,)
+    members = {identity}
+    for x in candidates:
+        if x in members:
             continue
         gens.append(x)
-        current = set(closure(gens, mul, identity, limit=len(target) + 1))
-        if current == target:
+        elements = closure(gens, mul, identity, limit=order)
+        if len(elements) == order:
             break
-    return tuple(gens)
+        members = set(elements)
+    return tuple(gens), elements
 
 
 def subgroup_view(parent: GroupView, elements, generators=None) -> GroupView:
     elements = tuple(sorted(elements))
     if generators is None:
-        generators = find_generators(elements, parent.mul, parent.identity)
+        generators = find_generators(elements, parent.mul, parent.identity,
+                                     len(elements))[0]
     return GroupView(
         elements=elements,
         generators=tuple(generators),
@@ -306,100 +314,79 @@ class MatrixGroup(GroupView):
     v0: Matrix = None
 
 
-def _transvection_generators(n: int, F: FiniteField) -> list[Matrix]:
-    """Adjacent elementary transvections over an additive basis of the field."""
-    gens = []
+def _candidates(n: int, F: FiniteField):
+    """Candidate generators of every matrix group of degree n over F.
+
+    In order: adjacent transvections over an additive basis of F, a diagonal
+    matrix with a primitive entry, every monomial matrix, then every upper
+    and every lower unitriangular matrix.  The monomial and unitriangular
+    matrices contain a BN-pair of each of GL, SL, GU and SU, so the stream
+    filtered to any of them generates it; the transvections come first so
+    that GL and SL close after a few candidates.
+    """
+
+    def identity_with(entries) -> Matrix:
+        m = [list(row) for row in identity_matrix(n)]
+        for (i, j), t in entries:
+            m[i][j] = t
+        return tuple(map(tuple, m))
+
     # base-p encoding: the monomial x^j is the integer p^j
-    basis = [F.p**j for j in range(F.k)]
     for i in range(n - 1):
-        for t in basis:
-            for (r, c) in ((i, i + 1), (i + 1, i)):
-                m = [list(row) for row in identity_matrix(n)]
-                m[r][c] = t
-                gens.append(tuple(tuple(row) for row in m))
-    return gens
-
-
-def _unitary_condition(g: Matrix, v0: Matrix, F: FiniteField, q: int) -> bool:
-    return mat_mul(mat_mul(conj_transpose(g, F, q), v0, F), g, F) == v0
-
-
-def _unitary_generators(n: int, q: int, F: FiniteField, v0: Matrix) -> list[Matrix]:
-    """Monomial and unitriangular elements preserving the form, by filtering."""
-    from itertools import permutations, product
-
-    gens = []
+        for t in (F.p**j for j in range(F.k)):
+            yield identity_with([((i, i + 1), t)])
+            yield identity_with([((i + 1, i), t)])
+    if F.size > 2:
+        yield identity_with([((0, 0), F.multiplicative_generator())])
     units = list(F.units())
-    # monomial matrices
     for perm in permutations(range(n)):
         for entries in product(units, repeat=n):
-            m = [[0] * n for _ in range(n)]
-            for col in range(n):
-                m[perm[col]][col] = entries[col]
-            g = tuple(tuple(row) for row in m)
-            if _unitary_condition(g, v0, F, q):
-                gens.append(g)
-    # unitriangular matrices, both orientations
-    positions_upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for positions in (positions_upper, [(j, i) for i, j in positions_upper]):
+            yield tuple(tuple(entries[c] if perm[c] == r else 0 for c in range(n))
+                        for r in range(n))
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for positions in (upper, [(j, i) for i, j in upper]):
         for entries in product(range(F.size), repeat=len(positions)):
-            m = [list(row) for row in identity_matrix(n)]
-            for (i, j), t in zip(positions, entries):
-                m[i][j] = t
-            g = tuple(tuple(row) for row in m)
-            if _unitary_condition(g, v0, F, q):
-                gens.append(g)
-    return gens
+            yield identity_with(zip(positions, entries))
 
 
 @cache
 def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> MatrixGroup:
     """Construct GL/SL/GU/SU of degree n over the field with q elements.
 
-    GU/SU live inside GL_n(q^2) cut out by the antidiagonal Hermitian form;
-    the element count is checked against the order formula.
+    GU/SU live inside GL_n(q^2) cut out by the antidiagonal Hermitian form.
+    The generators are the members of the candidate stream kept greedily
+    until the closure reaches the order formula; the element count is
+    checked against it.
     """
     if kind not in ("GL", "SL", "GU", "SU"):
         raise OracleError(f"unknown kind {kind}")
     if n < 1:
         raise OracleError(f"n={n} must be >= 1")
-    eps = 1 if kind in ("GL", "SL") else -1
-    sp = spp(eps, q)
+    unitary = kind in ("GU", "SU")
     special = kind in ("SL", "SU")
+    sp = spp(-1 if unitary else 1, q)
     expected = sl_group_order(n, sp) if special else group_order(n, sp)
     if expected > limit:
         raise OracleError(f"group order {expected} exceeds limit {limit}")
 
-    if eps == 1:
-        F = build_field(sp.p, sp.pp.m)
-        gens = _transvection_generators(n, F) if n > 1 else []
-        if not special:
-            gen_unit = F.multiplicative_generator() if F.size > 2 else 1
-            m = [list(row) for row in identity_matrix(n)]
-            m[0][0] = gen_unit
-            gens.append(tuple(tuple(row) for row in m))
-        if n == 1 and special:
-            gens = []
-        mul = lambda a, b: mat_mul(a, b, F)
-        elements = closure(gens, mul, identity_matrix(n), limit=limit)
-        v0 = form_matrix(n, F)
-    else:
-        F = build_field(sp.p, 2 * sp.pp.m)
-        v0 = form_matrix(n, F)
-        raw = _unitary_generators(n, q, F, v0)
-        mul = lambda a, b: mat_mul(a, b, F)
-        elements = closure(raw, mul, identity_matrix(n), limit=limit)
-        if special:
-            elements = tuple(g for g in elements if mat_det(g, F) == 1)
-        gens = find_generators(elements, mul, identity_matrix(n))
+    F = build_field(sp.p, (2 if unitary else 1) * sp.pp.m)
+    v0 = form_matrix(n, F)
+    mul = lambda a, b: mat_mul(a, b, F)
 
+    def member(g: Matrix) -> bool:
+        if unitary and mul(mul(conj_transpose(g, F, q), v0), g) != v0:
+            return False
+        return not special or mat_det(g, F) == 1
+
+    gens, elements = find_generators(filter(member, _candidates(n, F)), mul,
+                                     identity_matrix(n), expected)
     if len(elements) != expected:
         raise OracleError(
             f"built {len(elements)} elements of {kind}_{n}({q}), expected {expected}"
         )
-    group = MatrixGroup(
-        elements=tuple(elements),
-        generators=tuple(gens),
+    return MatrixGroup(
+        elements=elements,
+        generators=gens,
         identity=identity_matrix(n),
         mul=mul,
         inv=lambda a: mat_inv(a, F),
@@ -409,7 +396,6 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
         F=F,
         v0=v0,
     )
-    return group
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +410,12 @@ def frobenius_twist(g: Matrix, F: FiniteField) -> Matrix:
 def gamma_twist(g: Matrix, F: FiniteField, v0: Matrix) -> Matrix:
     """The twist gamma(g) = v0 . (g^T)^(-1) . v0^(-1)."""
     gt = tuple(zip(*g))
-    return mat_mul(mat_mul(v0, mat_inv(gt, F), F), mat_inv(v0, F), F)
+    return mat_mul(mat_mul(v0, mat_inv(gt, F), F), _form_inverse(v0, F), F)
+
+
+@cache
+def _form_inverse(v0: Matrix, F: FiniteField) -> Matrix:
+    return mat_inv(v0, F)
 
 
 def frobenius_map(G: MatrixGroup, g: Matrix) -> Matrix:

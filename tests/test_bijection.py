@@ -29,8 +29,8 @@ from mckaylab.bijection import (
 )
 from mckaylab.exactfield import ell_val, spp
 from mckaylab.charparams import degree
-from mckaylab.localside import local_degree
-from mckaylab.matrixoracle import build_group
+from mckaylab.localside import local_degree, local_order, torus_data
+from mckaylab.matrixoracle import build_group, normalizer
 
 REPORT_KEYS = {"cell", "degenerate", "counts", "checks", "witnesses", "ms",
                "status"}
@@ -94,7 +94,7 @@ def test_omega_tilde_pairs_degrees():
 
 @pytest.mark.parametrize("args", [
     (2, 1, 3, 2), (3, 1, 2, 7), (2, -1, 2, 3), (2, 1, 2, 3), (3, -1, 2, 3),
-    (2, -1, 5, 2), (2, 1, 4, 3),
+    (2, -1, 5, 2), (2, 1, 4, 3), (2, -1, 4, 3),
 ])
 def test_oracle_cross_validation(args):
     frag = verify_vs_oracle(Cell(*args))
@@ -112,10 +112,18 @@ def test_explicit_torus_orders():
         ("GU", 2, 2, 3, 9),    # full norm-one torus
         ("GU", 2, 5, 2, 24),   # cyclic of order q^2 - 1
         ("GL", 2, 4, 3, 9),    # diagonal units over a non-prime field
+        ("GU", 2, 4, 3, 15),   # cyclic of order q^2 - 1
+        ("GU", 3, 2, 3, 27),   # full norm-one torus
+        ("GU", 2, 7, 3, 48),   # cyclic of order q^2 - 1
     ]
     for kind, n, q, ell, order in cases:
         G = build_group(kind, n, q)
-        assert explicit_torus(G, ell).order == order
+        torus = explicit_torus(G, ell)
+        assert torus.order == order
+        assert all(G.mul(g, h) == G.mul(h, g)
+                   for g in torus.elements for h in torus.generators)
+        assert torus_data(n, G.sp, ell).Q % torus.exponent() == 0
+        assert normalizer(G, torus).order == local_order(n, G.sp, ell)
 
 
 def test_run_grid_collects_cell_errors(monkeypatch):

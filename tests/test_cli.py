@@ -186,6 +186,13 @@ def test_gggr_group_checks_reject_invalid_groups():
                    "--q", "2").exit_code == 2, check
 
 
+def test_gggr_parity_rejects_nonpositive_n():
+    for n in ("0", "-3"):
+        res = run("gggr", "--check", "parity", "--n", n)
+        assert res.exit_code == 2, n
+        assert f"n={n} must be >= 1" in res.output
+
+
 def test_oracle_rejects_composite_ell():
     res = run("oracle", "--kind", "GL", "--n", "2", "--q", "3", "--ell", "4")
     assert res.exit_code == 2

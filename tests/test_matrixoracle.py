@@ -44,6 +44,19 @@ def test_gu3_2_order_and_classes():
     assert G.conjugacy_classes().count == 24
 
 
+@pytest.mark.parametrize("kind,n,q", [
+    ("SL", 3, 2), ("SU", 2, 3), ("SU", 3, 2), ("SU", 2, 4)])
+def test_special_groups_are_the_determinant_one_elements(kind, n, q):
+    G = build_group(kind.replace("S", "G", 1), n, q)
+    S = build_group(kind, n, q)
+    assert S.elements == tuple(g for g in G.elements if mat_det(g, G.F) == 1)
+
+
+@pytest.mark.parametrize("key", sorted(KNOWN) + [("GU", 3, 2)])
+def test_groups_have_few_generators(key):
+    assert len(build_group(*key).generators) <= 10
+
+
 def test_class_partition_is_deterministic_and_sane():
     G = build_group("GL", 2, 3)
     part = G.conjugacy_classes()
