@@ -79,6 +79,12 @@ def _render_table(reports: list[dict], timings: bool) -> str:
     return "\n".join(lines)
 
 
+def _is_int_row(row) -> bool:
+    """A grid row: four JSON integers; floats, strings and booleans are not."""
+    return (isinstance(row, list) and len(row) == 4
+            and all(type(x) is int for x in row))
+
+
 @click.group()
 def main() -> None:
     """Character-count verification laboratory."""
@@ -111,9 +117,11 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
             try:
                 with open(grid) as fh:
                     rows = json.load(fh)
-                cells = [Cell(int(a), int(b), int(c), int(d))
-                         for a, b, c, d in rows]
-            except (OSError, ValueError, TypeError) as exc:
+                if not (isinstance(rows, list) and all(_is_int_row(r) for r in rows)):
+                    raise ValueError("expected a list of [n, eps, q, ell] rows "
+                                     "of JSON integers")
+                cells = [Cell(*row) for row in rows]
+            except (OSError, ValueError) as exc:
                 raise click.UsageError(f"cannot read grid file: {exc}")
     else:
         if n is None or q is None or ell is None:
@@ -201,7 +209,8 @@ def _parse_lambda(text: str, n: int | None) -> tuple:
 @click.option("--n", type=int, required=True)
 @click.option("--q", type=int, default=None)
 @click.option("--lam", "--lambda", "lam_text", default=None,
-              help="one partition as comma-separated parts, e.g. 3,1")
+              help="one partition as comma-separated parts, e.g. 3,1 "
+                   "(gamma-conj and hom only)")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
@@ -213,6 +222,9 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
     if n < 1:
         raise click.UsageError(f"n={n} must be >= 1")
 
+    if which in ("parity", "mult-one") and lam_text is not None:
+        raise click.UsageError(f"--check {which} takes no --lam: it covers "
+                               f"every partition")
     if which == "parity":
         count = gggr.sweep_parity_symmetry(n)
         payload["partitions_checked"] = count
@@ -225,7 +237,8 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
             spp(1, q)
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        lams = [_parse_lambda(lam_text, n)] if lam_text else list(partitions(n))
+        lams = ([_parse_lambda(lam_text, n)] if lam_text is not None
+                else list(partitions(n)))
         payload["q"] = q
         if which == "gamma-conj":
             witnesses = []

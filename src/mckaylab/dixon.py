@@ -333,8 +333,15 @@ def character_table(view) -> CharacterTable:
     """The full table of irreducible characters, exactly, in canonical order.
 
     Verifies internally that the degrees satisfy the sum-of-squares
-    identity and that every produced character has norm one.
+    identity and that every produced character has norm one.  The table is
+    built once per view and kept on it, like its conjugacy classes.
     """
+    if view._table is None:
+        view._table = _build_table(view)
+    return view._table
+
+
+def _build_table(view) -> CharacterTable:
     part = view.conjugacy_classes()
     n_classes = part.count
     order = view.order

@@ -147,8 +147,10 @@ def form_matrix(n: int, F: FiniteField) -> Matrix:
 class GroupView:
     """A finite group given by an explicit element list and multiplication.
 
-    Used both for full matrix groups and for subgroups; conjugacy data is
-    computed lazily and cached on the instance.
+    Used both for full matrix groups and for subgroups; conjugacy data and
+    the character table are computed lazily and cached on the instance.
+    `_subgroups` maps sorted element tuples to views; a view and every
+    subgroup view made from it share one such registry.
     """
 
     elements: tuple
@@ -158,6 +160,8 @@ class GroupView:
     inv: object
     _index: dict = field(default=None, repr=False)
     _classes: object = field(default=None, repr=False)
+    _table: object = field(default=None, repr=False, compare=False)
+    _subgroups: dict = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -283,17 +287,30 @@ def find_generators(candidates, mul, identity, order: int) -> tuple[tuple, tuple
 
 
 def subgroup_view(parent: GroupView, elements, generators=None) -> GroupView:
+    """The one view of the subgroup with these elements.
+
+    Returns parent itself when the elements are all of parent, and otherwise
+    the view already registered for them, so every fact cached on a view is
+    computed once per distinct subgroup; any generating set gives the same
+    classes and table, so later generators are not kept.
+    """
+    if parent._subgroups is None:
+        parent._subgroups = {parent.elements: parent}
     elements = tuple(sorted(elements))
-    if generators is None:
-        generators = find_generators(elements, parent.mul, parent.identity,
-                                     len(elements))[0]
-    return GroupView(
-        elements=elements,
-        generators=tuple(generators),
-        identity=parent.identity,
-        mul=parent.mul,
-        inv=parent.inv,
-    )
+    view = parent._subgroups.get(elements)
+    if view is None:
+        if generators is None:
+            generators = find_generators(elements, parent.mul, parent.identity,
+                                         len(elements))[0]
+        view = parent._subgroups[elements] = GroupView(
+            elements=elements,
+            generators=tuple(generators),
+            identity=parent.identity,
+            mul=parent.mul,
+            inv=parent.inv,
+            _subgroups=parent._subgroups,
+        )
+    return view
 
 
 def subgroup_closure(parent: GroupView, gens) -> GroupView:
@@ -372,6 +389,14 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
     F = build_field(sp.p, (2 if unitary else 1) * sp.pp.m)
     v0 = form_matrix(n, F)
     mul = lambda a, b: mat_mul(a, b, F)
+    inverses: dict = {}
+
+    def inv(a: Matrix) -> Matrix:
+        out = inverses.get(a)
+        if out is None:
+            out = inverses[a] = mat_inv(a, F)
+            inverses[out] = a
+        return out
 
     def member(g: Matrix) -> bool:
         if unitary and mul(mul(conj_transpose(g, F, q), v0), g) != v0:
@@ -389,7 +414,7 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
         generators=gens,
         identity=identity_matrix(n),
         mul=mul,
-        inv=lambda a: mat_inv(a, F),
+        inv=inv,
         kind=kind,
         n=n,
         sp=sp,

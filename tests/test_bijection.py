@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mckaylab import bijection, charparams, localside
+from mckaylab import bijection, charparams, dixon, localside, matrixoracle
 from mckaylab.bijection import (
     Cell,
     all_ok,
@@ -311,6 +311,18 @@ def test_oracle_check_cell_computes_each_local_degree_once(monkeypatch):
     rep = check_cell(Cell(2, 1, 3, 2))
     assert rep["checks"]["oracle"] is True
     assert local_degrees and len(set(local_degrees)) == len(local_degrees)
+
+
+def test_oracle_builds_each_table_and_inverse_once(monkeypatch):
+    """ell = 5 does not divide |GL_2(3)| = 48, so the Sylow and torus
+    normalizers are all of G and share its one table and its inverses."""
+    build_group.cache_clear()
+    bijection.oracle_table.cache_clear()
+    tables = _count_calls(monkeypatch, dixon._build_table)
+    inversions = _count_calls(monkeypatch, matrixoracle.mat_inv)
+    assert verify_vs_oracle(Cell(2, 1, 3, 5))["ok"] is True
+    assert len(tables) == 1
+    assert len(inversions) <= build_group("GL", 2, 3).order
 
 
 def test_certificates_run_under_optimize():

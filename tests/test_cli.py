@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -111,6 +114,14 @@ def test_gggr_rejects_bad_lambda():
     assert res.exit_code == 2
 
 
+def test_gggr_lam_is_rejected_by_the_all_partition_checks():
+    for which in ("parity", "mult-one"):
+        res = run("gggr", "--n", "2", "--q", "3", "--lam", "1,1",
+                  "--check", which)
+        assert res.exit_code == 2, which
+        assert "takes no --lam" in res.output
+
+
 def test_gggr_mult_one_json():
     res = run("gggr", "--n", "2", "--q", "2", "--check", "mult-one",
               "--format", "json")
@@ -144,7 +155,8 @@ def test_verify_rejects_invalid_cells():
 
 
 def test_verify_rejects_invalid_grid_rows(tmp_path):
-    for row in ([2, 1, 3, 4], [2, 0, 3, 2]):
+    for row in ([2, 1, 3, 4], [2, 0, 3, 2], [2, 1, 3.7, 2], [2, 1, 3.0, 2],
+                [True, 1, 3, 2], ["2", 1, 3, 2], [2, 1, 3]):
         grid = tmp_path / "cells.json"
         grid.write_text(json.dumps([row]))
         assert run("verify", "--grid", str(grid)).exit_code == 2, row
@@ -246,3 +258,11 @@ def test_verify_grid_rejects_random_invalid_rows(row):
         res = runner.invoke(main, ["verify", "--grid", "cells.json"],
                             catch_exceptions=False)
     assert res.exit_code == 2, (row, res.output)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "mckaylab", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert "verify" in out.stdout and "gggr" in out.stdout

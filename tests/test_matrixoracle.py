@@ -15,6 +15,7 @@ from mckaylab.matrixoracle import (
     mat_mul,
     normalizer,
     subgroup_closure,
+    subgroup_view,
     sylow_subgroup,
 )
 
@@ -89,7 +90,27 @@ def test_sylow_at_prime_not_dividing_is_trivial():
     G = build_group("GL", 2, 3)
     P = sylow_subgroup(G, 5)
     assert P.order == 1
-    assert normalizer(G, P).order == G.order
+    assert normalizer(G, P) is G
+
+
+def test_subgroup_views_are_interned_on_the_parent():
+    G = build_group("GL", 2, 3)
+    assert subgroup_view(G, G.elements) is G
+    assert subgroup_view(G, reversed(G.elements), G.elements) is G
+    P = sylow_subgroup(G, 3)
+    again = subgroup_view(G, reversed(P.elements), generators=P.elements[1:])
+    assert again is P
+    assert subgroup_view(G, P.elements) is P
+    assert subgroup_closure(G, P.elements) is P
+    assert subgroup_view(P, P.elements) is P
+
+
+@pytest.mark.parametrize("key", [("GL", 2, 4), ("GU", 2, 3), ("SU", 3, 2)])
+def test_group_inverse_is_two_sided(key):
+    G = build_group(*key)
+    for g in G.elements:
+        gi = G.inv(g)
+        assert G.mul(g, gi) == G.identity == G.mul(gi, g)
 
 
 def test_quaternion_subgroup_of_sl2_3_is_normal():
