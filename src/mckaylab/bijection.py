@@ -444,8 +444,9 @@ def explicit_torus(G, ell: int):
         for x, size in zip(classes.reps, classes.sizes):
             if size * Q**td.a != G.order:
                 continue
+            times_x, x_times = G.right(x), G.left(x)
             torus = subgroup_view(G, [g for g in G.elements
-                                      if G.mul(g, x) == G.mul(x, g)])
+                                      if times_x(g) == x_times(g)])
             gens = torus.generators
             if all(Q % G.element_order(g) == 0 for g in gens) and all(
                     G.mul(g, h) == G.mul(h, g) for g in gens for h in gens):

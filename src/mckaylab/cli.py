@@ -111,6 +111,11 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
            timings) -> None:
     """Certify the global/local correspondence on one cell or a grid."""
     if grid is not None:
+        given = [f"--{name}" for name, value in (("n", n), ("q", q), ("ell", ell))
+                 if value is not None]
+        if given:
+            raise click.UsageError(f"--grid takes no {', '.join(given)}: the "
+                                   f"grid names every cell")
         if grid == "default":
             cells = list(default_grid())
         else:
@@ -225,6 +230,9 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
     if which in ("parity", "mult-one") and lam_text is not None:
         raise click.UsageError(f"--check {which} takes no --lam: it covers "
                                f"every partition")
+    if which == "parity" and q is not None:
+        raise click.UsageError("--check parity takes no --q: the weights do "
+                               "not depend on the field")
     if which == "parity":
         count = gggr.sweep_parity_symmetry(n)
         payload["partitions_checked"] = count

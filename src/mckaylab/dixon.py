@@ -317,15 +317,20 @@ def _root_of_unity_mod(N: int, r: int) -> int:
 
 
 def _class_matrices(view, part):
+    """Class-sum matrices: entry [i][j][k] counts x in class i with x^-1.z_k
+    in class j, for the representative z_k of class k.
+
+    Each element is inverted once; each representative gets one
+    right-multiplication map, applied to every inverse.
+    """
     n = part.count
-    mats = []
-    for i in range(n):
-        m = [[0] * n for _ in range(n)]
-        for x in part.members[i]:
-            xi = view.inv(x)
-            for k, z in enumerate(part.reps):
-                m[part.class_map[view.mul(xi, z)]][k] += 1
-        mats.append(m)
+    class_map = part.class_map
+    inverses = [(i, view.inv(x)) for i in range(n) for x in part.members[i]]
+    mats = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for k, z in enumerate(part.reps):
+        times_z = view.right(z)
+        for i, xi in inverses:
+            mats[i][class_map[times_z(xi)]][k] += 1
     return mats
 
 

@@ -34,6 +34,7 @@ from .matrixoracle import (
     identity_matrix,
     mat_mul,
     mat_rank,
+    right_mul,
     subgroup_view,
 )
 
@@ -64,7 +65,7 @@ def weighted_dynkin(lam: tuple) -> tuple[tuple, tuple]:
 
 def weight_counts(lam: tuple) -> Counter:
     """Multiplicity of each basis weight."""
-    return Counter(h for h, _ in weight_multiset(lam))
+    return Counter(h for size in lam for h in range(1 - size, size, 2))
 
 
 def level_count(counts: Counter, level: int) -> int:
@@ -235,10 +236,10 @@ def check_homomorphism(lam: tuple, q: int,
                 m[i][j] = F.p**t
                 partners.append(tuple(tuple(row) for row in m))
     checked = 0
-    for g in els:
-        for h in partners:
-            gh = mat_mul(g, h, F)
-            if exps[gh] != (exps[g] + exps[h]) % F.p:
+    for h in partners:
+        times_h = right_mul(h, F)
+        for g in els:
+            if exps[times_h(g)] != (exps[g] + exps[h]) % F.p:
                 raise CertificateError(f"psi_u not multiplicative at {lam}, q={q}")
             checked += 1
     return checked
@@ -284,9 +285,9 @@ def check_gamma_conjugacy(lam: tuple, q: int):
     u = rep_unipotent(lam)
     if u not in S.index:
         raise CertificateError("representative is not in SL")
-    target = gamma_map(S, u)
+    times_u, target_times = S.right(u), S.left(gamma_map(S, u))
     for g in S.elements:
-        if S.mul(g, u) == S.mul(target, g):
+        if times_u(g) == target_times(g):
             return u, g
     raise CertificateError(f"no gamma-conjugating witness for {lam}, q={q}")
 

@@ -43,42 +43,86 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _table_dot(row, col, add: list, mul: list) -> int:
-    """Dot product read off a field's addition and multiplication tables."""
-    acc = 0
-    for x, y in zip(row, col):
-        if x and y:
-            acc = add[acc][mul[x][y]]
-    return acc
-
-
-def mat_mul(a: Matrix, b: Matrix, F: FiniteField) -> Matrix:
-    """The product a.b.
+def _row_kernel(b: Matrix, F: FiniteField):
+    """The map row -> row.b for one fixed right factor b.
 
     Prime fields sum integer products and reduce once per entry; tabled
-    extension fields read the tables; larger fields use F.add and F.mul.
+    extension fields read the addition and multiplication tables; larger
+    fields use F.add and F.mul.
     """
     bt = tuple(zip(*b))
     if F.k == 1:
         p, prod = F.p, operator.mul
-        return tuple([tuple([sum(map(prod, row, col)) % p for col in bt])
-                      for row in a])
+
+        def prime_kernel(row):
+            out = []
+            for col in bt:
+                out.append(sum(map(prod, row, col)) % p)
+            return tuple(out)
+
+        return prime_kernel
     if F.add_table is not None:
-        add, mul = F.add_table, F.mul_table
-        return tuple([tuple([_table_dot(row, col, add, mul) for col in bt])
-                      for row in a])
+        add_table, mul_table = F.add_table, F.mul_table
+
+        def table_kernel(row):
+            out = []
+            for col in bt:
+                acc = 0
+                for x, y in zip(row, col):
+                    if x and y:
+                        acc = add_table[acc][mul_table[x][y]]
+                out.append(acc)
+            return tuple(out)
+
+        return table_kernel
     mul, add = F.mul, F.add
-    out = []
-    for row in a:
-        new_row = []
+
+    def kernel(row):
+        out = []
         for col in bt:
             acc = 0
             for x, y in zip(row, col):
                 if x and y:
                     acc = add(acc, mul(x, y))
-            new_row.append(acc)
-        out.append(tuple(new_row))
-    return tuple(out)
+            out.append(acc)
+        return tuple(out)
+
+    return kernel
+
+
+def mat_mul(a: Matrix, b: Matrix, F: FiniteField) -> Matrix:
+    """The product a.b."""
+    return tuple(map(_row_kernel(b, F), a))
+
+
+class _RowImages(dict):
+    """Rows mapped to their images under one row kernel, filled on demand."""
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.kernel = kernel
+
+    def __missing__(self, row):
+        image = self[row] = self.kernel(row)
+        return image
+
+
+def right_mul(b: Matrix, F: FiniteField):
+    """The map a -> a.b for one fixed b.
+
+    Row i of a.b depends only on row i of a, so each distinct row is
+    multiplied once and its image kept for as long as the map lives.
+    """
+    images = _RowImages(_row_kernel(b, F))
+    return lambda a: tuple(map(images.__getitem__, a))
+
+
+def left_mul(b: Matrix, F: FiniteField):
+    """The map a -> b.a for one fixed b, as right_mul(b^T) on transposes."""
+    times_bt = right_mul(tuple(zip(*b)), F)
+    return lambda a: tuple(zip(*times_bt(tuple(zip(*a)))))
 
 
 def _gauss_jordan(rows: list, ncols: int, F: FiniteField) -> tuple[int, int]:
@@ -147,7 +191,9 @@ def form_matrix(n: int, F: FiniteField) -> Matrix:
 class GroupView:
     """A finite group given by an explicit element list and multiplication.
 
-    Used both for full matrix groups and for subgroups; conjugacy data and
+    `right(b)` and `left(b)` return the maps a -> a.b and a -> b.a for one
+    fixed factor b; a loop that reuses one factor makes its map once.  Used
+    both for full matrix groups and for subgroups; conjugacy data and
     the character table are computed lazily and cached on the instance.
     `_subgroups` maps sorted element tuples to views; a view and every
     subgroup view made from it share one such registry.
@@ -158,6 +204,8 @@ class GroupView:
     identity: object
     mul: object
     inv: object
+    right: object
+    left: object
     _index: dict = field(default=None, repr=False)
     _classes: object = field(default=None, repr=False)
     _table: object = field(default=None, repr=False, compare=False)
@@ -209,9 +257,8 @@ def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
     Classes are ordered identity first, then by (size, minimal member), and
     each representative is the minimal member, so the result is deterministic.
     """
-    mul, inv = view.mul, view.inv
     gens = view.generators or view.elements
-    gen_pairs = [(g, inv(g)) for g in gens]
+    conjugators = [(view.left(g), view.right(view.inv(g))) for g in gens]
     assigned: dict = {}
     raw_classes = []
     for start in view.elements:
@@ -221,8 +268,8 @@ def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
         frontier = [start]
         while frontier:
             x = frontier.pop()
-            for g, gi in gen_pairs:
-                y = mul(g, mul(x, gi))
+            for g_times, times_gi in conjugators:
+                y = g_times(times_gi(x))
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -248,15 +295,18 @@ def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
     )
 
 
-def closure(gens, mul, identity, limit: int = GROUP_SIZE_LIMIT) -> tuple:
-    """BFS closure of a generator list; sorted tuple of elements."""
+def closure(gens, right, identity, limit: int = GROUP_SIZE_LIMIT) -> tuple:
+    """BFS closure of a generator list; sorted tuple of elements.
+
+    `right(g)` is the map x -> x.g, made once per generator.
+    """
     elements = {identity}
     frontier = [identity]
-    gens = sorted({g for g in gens if g != identity})
+    steps = [right(g) for g in sorted({g for g in gens if g != identity})]
     while frontier:
         x = frontier.pop()
-        for g in gens:
-            y = mul(x, g)
+        for times_g in steps:
+            y = times_g(x)
             if y not in elements:
                 if len(elements) >= limit:
                     raise OracleError(f"closure exceeded limit {limit}")
@@ -265,7 +315,7 @@ def closure(gens, mul, identity, limit: int = GROUP_SIZE_LIMIT) -> tuple:
     return tuple(sorted(elements))
 
 
-def find_generators(candidates, mul, identity, order: int) -> tuple[tuple, tuple]:
+def find_generators(candidates, right, identity, order: int) -> tuple[tuple, tuple]:
     """Greedy generators of a group of known order, and its sorted elements.
 
     Keeps each candidate outside the closure so far and stops once the
@@ -279,7 +329,7 @@ def find_generators(candidates, mul, identity, order: int) -> tuple[tuple, tuple
         if x in members:
             continue
         gens.append(x)
-        elements = closure(gens, mul, identity, limit=order)
+        elements = closure(gens, right, identity, limit=order)
         if len(elements) == order:
             break
         members = set(elements)
@@ -300,7 +350,7 @@ def subgroup_view(parent: GroupView, elements, generators=None) -> GroupView:
     view = parent._subgroups.get(elements)
     if view is None:
         if generators is None:
-            generators = find_generators(elements, parent.mul, parent.identity,
+            generators = find_generators(elements, parent.right, parent.identity,
                                          len(elements))[0]
         view = parent._subgroups[elements] = GroupView(
             elements=elements,
@@ -308,13 +358,15 @@ def subgroup_view(parent: GroupView, elements, generators=None) -> GroupView:
             identity=parent.identity,
             mul=parent.mul,
             inv=parent.inv,
+            right=parent.right,
+            left=parent.left,
             _subgroups=parent._subgroups,
         )
     return view
 
 
 def subgroup_closure(parent: GroupView, gens) -> GroupView:
-    elems = closure(list(gens), parent.mul, parent.identity, limit=parent.order)
+    elems = closure(list(gens), parent.right, parent.identity, limit=parent.order)
     return subgroup_view(parent, elems, generators=tuple(gens))
 
 
@@ -389,6 +441,7 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
     F = build_field(sp.p, (2 if unitary else 1) * sp.pp.m)
     v0 = form_matrix(n, F)
     mul = lambda a, b: mat_mul(a, b, F)
+    right = lambda b: right_mul(b, F)
     inverses: dict = {}
 
     def inv(a: Matrix) -> Matrix:
@@ -403,7 +456,7 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
             return False
         return not special or mat_det(g, F) == 1
 
-    gens, elements = find_generators(filter(member, _candidates(n, F)), mul,
+    gens, elements = find_generators(filter(member, _candidates(n, F)), right,
                                      identity_matrix(n), expected)
     if len(elements) != expected:
         raise OracleError(
@@ -415,6 +468,8 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
         identity=identity_matrix(n),
         mul=mul,
         inv=inv,
+        right=right,
+        left=lambda b: left_mul(b, F),
         kind=kind,
         n=n,
         sp=sp,
@@ -466,12 +521,12 @@ def gamma_map(G: MatrixGroup, g: Matrix) -> Matrix:
 def normalizer(view: GroupView, sub: GroupView) -> GroupView:
     """{g : g S g^-1 = S} by scanning; sub must be a subgroup of view."""
     sub_set = set(sub.elements)
-    sub_gens = sub.generators or sub.elements
+    steps = [view.right(s) for s in sub.generators or sub.elements]
     mul, inv = view.mul, view.inv
     out = []
     for g in view.elements:
         gi = inv(g)
-        if all(mul(g, mul(s, gi)) in sub_set for s in sub_gens):
+        if all(mul(times_s(g), gi) in sub_set for times_s in steps):
             out.append(g)
     return subgroup_view(view, out)
 
@@ -494,7 +549,7 @@ def sylow_subgroup(view: GroupView, ell: int) -> GroupView:
                 continue
             try:
                 cand = closure(
-                    tuple(current.generators) + (y,), view.mul, view.identity, limit=target
+                    tuple(current.generators) + (y,), view.right, view.identity, limit=target
                 )
             except OracleError:
                 continue

@@ -122,6 +122,21 @@ def test_gggr_lam_is_rejected_by_the_all_partition_checks():
         assert "takes no --lam" in res.output
 
 
+def test_gggr_parity_rejects_q():
+    for q in ("3", "6"):
+        res = run("gggr", "--check", "parity", "--n", "3", "--q", q)
+        assert res.exit_code == 2, q
+        assert "takes no --q" in res.output
+
+
+def test_verify_grid_rejects_cell_options():
+    for extra in (["--n", "2"], ["--q", "3"], ["--ell", "2"],
+                  ["--n", "2", "--q", "3", "--ell", "2"]):
+        res = run("verify", *extra, "--grid", "default", "--no-oracle")
+        assert res.exit_code == 2, extra
+        assert "--grid takes no" in res.output
+
+
 def test_gggr_mult_one_json():
     res = run("gggr", "--n", "2", "--q", "2", "--check", "mult-one",
               "--format", "json")

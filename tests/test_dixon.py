@@ -23,6 +23,30 @@ def test_degree_multisets(key):
     assert sum(d * d for d in table.degrees) == G.order
 
 
+def reference_class_matrices(view, part):
+    """Class-sum matrices by a loop over class members, with view.mul."""
+    n = part.count
+    mats = []
+    for i in range(n):
+        m = [[0] * n for _ in range(n)]
+        for x in part.members[i]:
+            for k, z in enumerate(part.reps):
+                m[part.class_map[view.mul(view.inv(x), z)]][k] += 1
+        mats.append(m)
+    return mats
+
+
+@pytest.mark.parametrize("view", [
+    lambda: build_group("GL", 2, 3),
+    lambda: build_group("GU", 2, 3),
+    lambda: sylow_subgroup(build_group("GL", 2, 3), 2),
+], ids=["GL(2,3)", "GU(2,3)", "Sylow-2 of GL(2,3)"])
+def test_class_matrices_match_a_plain_loop(view):
+    view = view()
+    part = view.conjugacy_classes()
+    assert dixon._class_matrices(view, part) == reference_class_matrices(view, part)
+
+
 def test_row_orthogonality():
     G = build_group("GL", 2, 3)
     table = dixon.character_table(G)

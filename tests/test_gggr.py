@@ -6,6 +6,7 @@ import pytest
 
 from mckaylab import gggr
 from mckaylab.exactfield import build_field, spp
+from mckaylab.matrixoracle import build_group, gamma_map
 from mckaylab.partitions import partitions
 
 
@@ -108,3 +109,11 @@ def test_regular_class_sum_is_twenty_one_dimensional():
     degs = sorted(chi.degree for chi, m in zip(table.chars, mults) if m)
     assert degs == [3, 3, 7, 8]
     assert sum(m * chi.degree for m, chi in zip(mults, table.chars)) == 21
+
+
+def test_gamma_conjugacy_returns_the_first_witness_of_a_plain_scan():
+    S = build_group("SL", 3, 3)
+    u = gggr.rep_unipotent((3,))
+    target = gamma_map(S, u)
+    first = next(g for g in S.elements if S.mul(g, u) == S.mul(target, g))
+    assert gggr.check_gamma_conjugacy((3,), 3) == (u, first)

@@ -7,13 +7,16 @@ from mckaylab.exactfield import build_field
 from mckaylab.matrixoracle import (
     OracleError,
     build_group,
+    conjugacy_partition,
     frobenius_map,
     gamma_map,
     identity_matrix,
+    left_mul,
     mat_det,
     mat_inv,
     mat_mul,
     normalizer,
+    right_mul,
     subgroup_closure,
     subgroup_view,
     sylow_subgroup,
@@ -113,6 +116,37 @@ def test_group_inverse_is_two_sided(key):
         assert G.mul(g, gi) == G.identity == G.mul(gi, g)
 
 
+def reference_partition(view):
+    """Conjugacy classes by an orbit search written with view.mul alone."""
+    classes, seen = [], set()
+    for start in view.elements:
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for g in view.generators:
+                y = view.mul(view.mul(g, x), view.inv(g))
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (c[0] != view.identity, len(c), c[0]))
+    return classes
+
+
+@pytest.mark.parametrize("key", [("GL", 2, 3), ("GU", 2, 3), ("GL", 2, 4)])
+def test_conjugacy_partition_matches_a_plain_orbit_search(key):
+    G = build_group(*key)
+    for view in (G, sylow_subgroup(G, 2)):
+        part = conjugacy_partition(view)
+        classes = reference_partition(view)
+        assert part.members == tuple(classes)
+        assert part.reps == tuple(c[0] for c in classes)
+        assert part.class_map == {x: k for k, c in enumerate(classes) for x in c}
+
+
 def test_quaternion_subgroup_of_sl2_3_is_normal():
     G = build_group("SL", 2, 3)
     gens = [g for g in G.elements if G.element_order(g) == 4]
@@ -186,6 +220,30 @@ KERNEL_FIELDS = ((2, 1), (5, 1), (2, 2), (3, 2), (5, 2), (3, 5))
 def test_mat_mul_matches_scalar_reference(case):
     F, a, b = case
     assert mat_mul(a, b, F) == reference_mul(a, b, F)
+
+
+@st.composite
+def field_and_matrices_sharing_rows(draw, fields):
+    """A field and matrices whose rows and columns come from a small pool,
+    so one multiplier meets the same row at several positions."""
+    F = build_field(*draw(st.sampled_from(fields)))
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, F.size - 1)] * n),
+                         min_size=1, max_size=3))
+    mats = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * n),
+                         min_size=2, max_size=3))
+    return F, mats + [tuple(zip(*m)) for m in mats]
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_and_matrices_sharing_rows(KERNEL_FIELDS))
+def test_fixed_factor_multipliers_match_mat_mul(case):
+    F, mats = case
+    for b in mats:
+        times_b, b_times = right_mul(b, F), left_mul(b, F)
+        for a in mats:
+            assert times_b(a) == mat_mul(a, b, F) == left_mul(a, F)(b)
+            assert b_times(a) == mat_mul(b, a, F)
 
 
 @settings(max_examples=100, deadline=None)
