@@ -13,7 +13,6 @@ relevance tests used by the local-global comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
@@ -181,32 +180,6 @@ def global_relevant(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> 
     return table.index[chi] in table.relevant(ell)
 
 
-def _is_ell_power(x: int, ell: int) -> bool:
-    while x % ell == 0:
-        x //= ell
-    return x == 1
-
-
-def sl_relevant(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
-    """Adjoint-side relevance test, stated on (s, component group) data.
-
-    Three conditions: the centralizer index and the component group
-    A(s) have the same ell-valuation; each factor passes the structural
-    ell-prime test; and the ell-part of A(s) fixes the decorated
-    parameter.  Tested to agree with global_relevant, not assumed.
-    """
-    a = component_group(chi.cls, sp)
-    if (ell_val(index_order(chi.cls, n, sp), ell) != ell_val(len(a), ell)
-            or not _factors_ellprime(chi, sp, ell)):
-        return False
-    m1 = eigen_modulus(1, sp)
-    for z in a:
-        if z and _is_ell_power(m1 // math.gcd(z, m1), ell):
-            if zhat_act(chi, sp, z) != chi:
-                return False
-    return True
-
-
 def count_irr_sl(n: int, sp: SignedPrimePower) -> int:
     """Number of irreducible characters of the det-one subgroup.
 
@@ -251,8 +224,3 @@ def to_params(chi: GlobalChar) -> dict:
         "factors": [[k, e, m] for (k, e), m in chi.cls.factors],
         "parts": [list(p) for p in chi.parts],
     }
-
-
-def from_params(data: dict) -> GlobalChar:
-    cls = SSClass(tuple(((k, e), m) for k, e, m in data["factors"]))
-    return GlobalChar(cls, tuple(tuple(p) for p in data["parts"]))

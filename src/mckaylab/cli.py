@@ -13,6 +13,7 @@ Output is deterministic; timings are suppressed unless --timings is given.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
@@ -39,6 +40,20 @@ def _parse_eps(eps: str) -> int:
     if eps in ("-1", "-"):
         return -1
     raise click.UsageError(f"bad --eps {eps!r}: expected +1 or -1")
+
+
+def _writable_out(ctx, param, out: str | None) -> str | None:
+    """Reject an --out that cannot be written, before any work runs; the
+    probe truncates nothing and leaves no new file behind."""
+    if out is not None:
+        existed = os.path.exists(out)
+        try:
+            open(out, "a").close()
+        except OSError as exc:
+            raise click.BadParameter(f"cannot write {out}: {exc.strerror}")
+        if not existed:
+            os.remove(out)
+    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -98,10 +113,11 @@ def main() -> None:
 @click.option("--grid", default=None,
               help="'default' for the built-in grid, or a JSON file of "
                    "[n, eps, q, ell] rows.")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_writable_out)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--limit", type=int, default=ORACLE_ORDER_LIMIT,
               show_default=True, help="oracle group-order cap")
 @click.option("--oracle/--no-oracle", "with_oracle", default=True,
@@ -159,7 +175,7 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
 @click.option("--q", type=int, required=True)
 @click.option("--ell", type=int, default=None,
               help="also report the count of ell-prime degrees")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_writable_out)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
 def oracle(kind, n, q, ell, out, fmt) -> None:
@@ -216,7 +232,7 @@ def _parse_lambda(text: str, n: int | None) -> tuple:
 @click.option("--lam", "--lambda", "lam_text", default=None,
               help="one partition as comma-separated parts, e.g. 3,1 "
                    "(gamma-conj and hom only)")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_writable_out)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
 def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:

@@ -62,12 +62,6 @@ class CycContext:
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a: tuple) -> tuple:
-        return tuple(-x for x in a)
-
     def scal(self, c: int, a: tuple) -> tuple:
         return tuple(c * x for x in a)
 
@@ -132,9 +126,6 @@ class ClassFunction:
     @property
     def degree(self) -> int:
         return self.ctx.as_int(self.values[0])
-
-    def at(self, g) -> tuple:
-        return self.values[self.part.class_map[g]]
 
 
 @dataclass(frozen=True)
@@ -383,38 +374,35 @@ def _build_table(view) -> CharacterTable:
     if sum(d * d for d in degrees) != order:
         raise CertificateError("sum of squared degrees is off")
 
-    # shared lift tables: element order, power-map classes, root powers
+    # per class: the classes of its powers, the inverse-DFT rows mod r that
+    # turn the values on them into eigenvalue multiplicities, and the n_k-th
+    # roots of unity those multiplicities weigh
     w_root = _root_of_unity_mod(N, r)
     lift_data = []
-    for k, z in enumerate(part.reps):
+    for z in part.reps:
         n_k = view.element_order(z)
         power_class = []
         x = view.identity
         for _ in range(n_k):
             power_class.append(part.class_map[x])
             x = view.mul(x, z)
-        wk = pow(w_root, N // n_k, r)
-        wk_pows = [1]
-        for _ in range(n_k - 1):
-            wk_pows.append(wk_pows[-1] * wk % r)
-        lift_data.append((n_k, power_class, wk_pows, pow(n_k, -1, r)))
+        wk, inv_n = pow(w_root, N // n_k, r), pow(n_k, -1, r)
+        scaled = [pow(wk, -t, r) * inv_n % r for t in range(n_k)]
+        idft = tuple(tuple(scaled[j * t % n_k] for t in range(n_k)) for j in range(n_k))
+        lift_data.append((power_class, idft, ctx.zeta_pow[::N // n_k]))
 
     chars = []
     for vals, d in zip(chars_mod, degrees):
         row = []
-        for k in range(n_classes):
-            n_k, power_class, wk_pows, inv_n = lift_data[k]
+        for power_class, idft, roots in lift_data:
+            col = [vals[c] for c in power_class]
             acc = ctx.zero
             total = 0
-            for j in range(n_k):
-                m = (
-                    sum(vals[power_class[t]] * wk_pows[(-j * t) % n_k] for t in range(n_k))
-                    * inv_n
-                    % r
-                )
+            for idft_row, root in zip(idft, roots):
+                m = sum(map(operator.mul, col, idft_row)) % r
                 if m:
                     total += m
-                    acc = ctx.add(acc, ctx.scal(m, ctx.zeta_pow[j * (N // n_k) % N]))
+                    acc = ctx.add(acc, ctx.scal(m, root))
             if total != d:
                 raise CertificateError("eigenvalue multiplicities do not sum to the degree")
             row.append(acc)
@@ -436,12 +424,6 @@ def _build_table(view) -> CharacterTable:
 
 # ---------------------------------------------------------------------------
 # operations on class functions
-
-def trivial_character(view, ctx: CycContext = None, part=None) -> ClassFunction:
-    part = part if part is not None else view.conjugacy_classes()
-    ctx = ctx if ctx is not None else CycContext(1)
-    return ClassFunction(view, part, ctx, tuple(ctx.one for _ in range(part.count)))
-
 
 def inner(f: ClassFunction, g: ClassFunction) -> int:
     """Exact inner product; the result must be a rational integer."""
@@ -472,12 +454,6 @@ def induce(sub_cf: ClassFunction, amb_view, amb_part=None) -> ClassFunction:
         for k in range(amb_part.count)
     )
     return ClassFunction(amb_view, amb_part, ctx, values)
-
-
-def restrict(cf: ClassFunction, sub_view, sub_part=None) -> ClassFunction:
-    sub_part = sub_part if sub_part is not None else sub_view.conjugacy_classes()
-    values = tuple(cf.values[cf.part.class_map[rep]] for rep in sub_part.reps)
-    return ClassFunction(sub_view, sub_part, cf.ctx, values)
 
 
 def irr_ellprime(table: CharacterTable, ell: int) -> tuple:

@@ -9,7 +9,7 @@ Everything is plain integer arithmetic; nothing here is approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from sympy import factorint, isprime
@@ -35,54 +35,33 @@ class CertificateError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# prime powers and signed prime powers
+# signed prime powers
 
 
 @dataclass(frozen=True)
-class PrimePower:
-    """A prime power q = p**m, validated at construction."""
+class SignedPrimePower:
+    """A prime power q = p**m together with a sign eps in {+1, -1}.
 
+    The sign selects the linear (+1) or unitary (-1) twist: group and torus
+    order formulas below are polynomial identities in eps*q.  Construction
+    validates all three and stores q and eq = eps*q once.
+    """
+
+    eps: int
     p: int
     m: int
+    q: int = field(init=False, compare=False, repr=False)
+    eq: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isprime(self.p):
             raise ExactFieldError(f"{self.p} is not prime")
         if self.m < 1:
             raise ExactFieldError(f"exponent {self.m} must be >= 1")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.m
-
-
-@dataclass(frozen=True)
-class SignedPrimePower:
-    """A prime power together with a sign eps in {+1, -1}.
-
-    The sign selects the linear (+1) or unitary (-1) twist: group and torus
-    order formulas below are polynomial identities in eps*q.
-    """
-
-    eps: int
-    pp: PrimePower
-
-    def __post_init__(self) -> None:
         if self.eps not in (1, -1):
             raise ExactFieldError(f"sign {self.eps} must be +1 or -1")
-
-    @property
-    def q(self) -> int:
-        return self.pp.q
-
-    @property
-    def p(self) -> int:
-        return self.pp.p
-
-    @property
-    def eq(self) -> int:
-        """The signed prime power eps*q as a plain integer."""
-        return self.eps * self.pp.q
+        object.__setattr__(self, "q", self.p**self.m)
+        object.__setattr__(self, "eq", self.eps * self.q)
 
 
 def spp(eps: int, q: int) -> SignedPrimePower:
@@ -91,7 +70,7 @@ def spp(eps: int, q: int) -> SignedPrimePower:
     if len(fac) != 1:
         raise ExactFieldError(f"{q} is not a prime power")
     ((p, m),) = fac.items()
-    return SignedPrimePower(eps, PrimePower(p, m))
+    return SignedPrimePower(eps, p, m)
 
 
 @cache
@@ -339,7 +318,5 @@ def group_order(n: int, sp: SignedPrimePower) -> int:
 
 
 def sl_group_order(n: int, sp: SignedPrimePower) -> int:
-    """|SL_n(q)| or |SU_n(q)|."""
-    if n == 0:
-        return 1
+    """|SL_n(q)| or |SU_n(q)|; 1 for n < 1."""
     return group_order(n, sp) // (sp.q - sp.eps) if n >= 1 else 1

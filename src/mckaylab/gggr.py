@@ -56,13 +56,6 @@ def weight_multiset(lam: tuple) -> tuple:
     return tuple(items)
 
 
-def weighted_dynkin(lam: tuple) -> tuple[tuple, tuple]:
-    """Ascending weights and the diagram labels (consecutive differences)."""
-    h = tuple(t[0] for t in weight_multiset(lam))
-    labels = tuple(h[i + 1] - h[i] for i in range(len(h) - 1))
-    return h, labels
-
-
 def weight_counts(lam: tuple) -> Counter:
     """Multiplicity of each basis weight."""
     return Counter(h for size in lam for h in range(1 - size, size, 2))
@@ -207,7 +200,7 @@ def u2_elements(lam: tuple, F) -> tuple:
 def check_representative(lam: tuple, q: int) -> bool:
     """The chain representative really has Jordan type lam."""
     sp = spp(1, q)
-    F = build_field(sp.p, sp.pp.m)
+    F = build_field(sp.p, sp.m)
     return jordan_type(rep_unipotent(lam), F) == tuple(sorted(lam, reverse=True))
 
 
@@ -220,7 +213,7 @@ def check_homomorphism(lam: tuple, q: int,
     on word length.
     """
     sp = spp(1, q)
-    F = build_field(sp.p, sp.pp.m)
+    F = build_field(sp.p, sp.m)
     els = u2_elements(lam, F)
     u = rep_unipotent(lam)
     exact2 = exact2_positions(lam)
@@ -251,7 +244,7 @@ def check_equivariance(lam: tuple, q: int) -> int:
     Returns the number of (sigma, g) evaluations certified.
     """
     sp = spp(1, q)
-    F = build_field(sp.p, sp.pp.m)
+    F = build_field(sp.p, sp.m)
     n = sum(lam)
     v0 = form_matrix(n, F)
     els = u2_elements(lam, F)

@@ -438,7 +438,7 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
     if expected > limit:
         raise OracleError(f"group order {expected} exceeds limit {limit}")
 
-    F = build_field(sp.p, (2 if unitary else 1) * sp.pp.m)
+    F = build_field(sp.p, (2 if unitary else 1) * sp.m)
     v0 = form_matrix(n, F)
     mul = lambda a, b: mat_mul(a, b, F)
     right = lambda b: right_mul(b, F)

@@ -98,29 +98,6 @@ def e_core_quotient(lam: Partition, e: int) -> tuple[Partition, WreathLabel, int
     return core, quotient, w
 
 
-def from_core_quotient(core: Partition, quotient: WreathLabel, e: int) -> Partition:
-    """Inverse of e_core_quotient for a genuine e-core."""
-    if len(quotient) != e:
-        raise ValueError("quotient must have e components")
-    need = max([len(core)] + [e * (len(mu) + 1) for mu in quotient])
-    length = e * (need // e + 1)
-    beta = beta_set(core, length)
-    runners: list[list[int]] = [[] for _ in range(e)]
-    for b in beta:
-        runners[b % e].append(b // e)
-    new_beta = []
-    for r, runner in enumerate(runners):
-        positions = sorted(runner)
-        if positions != list(range(len(positions))):
-            raise CertificateError("input is not an e-core")
-        mu = quotient[r]
-        k = len(positions)
-        padded = tuple(mu) + (0,) * (k - len(mu))
-        for i, pos in enumerate(positions):
-            new_beta.append(e * (pos + padded[k - 1 - i]) + r)
-    return _partition_from_beta(tuple(new_beta))
-
-
 def generic_degree(lam: Partition, sp: SignedPrimePower) -> int:
     """|Deg_lam(eps*q)| for the unipotent character labelled by lam.
 
@@ -174,12 +151,3 @@ def wreath_degree(label: WreathLabel) -> int:
     if rem:
         raise CertificateError(f"hook product of {label} does not divide {w}!")
     return deg
-
-
-@cache
-def wreath_irr(e: int, w: int) -> tuple[tuple[WreathLabel, int], ...]:
-    """(label, degree) for every irreducible of C_e wr S_w."""
-    out = tuple((label, wreath_degree(label)) for label in wreath_labels(e, w))
-    if sum(d * d for _, d in out) != e**w * math.factorial(w):
-        raise CertificateError(f"degrees of C_{e} wr S_{w} miss the group order")
-    return out

@@ -26,10 +26,6 @@ class SSClass:
 
     factors: tuple
 
-    @property
-    def rank(self) -> int:
-        return sum(k * m for (k, _), m in self.factors)
-
 
 def eigen_modulus(k: int, sp: SignedPrimePower) -> int:
     return abs(sp.q**k - sp.eps**k)
@@ -101,14 +97,6 @@ def enumerate_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
             for m in range(1, budget // k + 1):
                 stack.append((j + 1, budget - m * k, chosen + ((labels[j], m),)))
     return tuple(sorted(out))
-
-
-def identity_class(n: int) -> SSClass:
-    return SSClass((((1, 0), n),))
-
-
-def is_central(cls: SSClass) -> bool:
-    return len(cls.factors) == 1 and cls.factors[0][0][0] == 1
 
 
 def centralizer_factors(cls: SSClass, sp: SignedPrimePower) -> tuple:

@@ -1,11 +1,15 @@
 """Global character parameters: degrees, counts, descent to SL/SU."""
 
+import math
+
 import pytest
 
 from mckaylab import dixon
-from mckaylab.exactfield import group_order, spp
+from mckaylab.exactfield import ell_val, group_order, spp
 from mckaylab.matrixoracle import build_group
 from mckaylab.charparams import (
+    GlobalChar,
+    _factors_ellprime,
     central_char,
     count_ellprime,
     count_irr_sl,
@@ -13,13 +17,13 @@ from mckaylab.charparams import (
     degree,
     ellprime_structural,
     enumerate_irr,
-    from_params,
     global_relevant,
+    index_order,
     is_ellprime,
-    sl_relevant,
     to_params,
     zhat_act,
 )
+from mckaylab.ssclasses import SSClass, component_group, eigen_modulus
 
 ORACLE_CASES = [
     ("GL", 2, 3), ("GL", 2, 2), ("GL", 3, 2), ("GU", 2, 2), ("GL", 2, 5),
@@ -100,6 +104,32 @@ def test_jordan_parameter_count_equals_descent_count(n, eps, q):
     assert count_jordan_params(n, sp) == count_irr_sl(n, sp)
 
 
+def _is_ell_power(x: int, ell: int) -> bool:
+    while x % ell == 0:
+        x //= ell
+    return x == 1
+
+
+def sl_relevant(chi: GlobalChar, n: int, sp, ell: int) -> bool:
+    """Adjoint-side relevance test, stated on (s, component group) data.
+
+    Three conditions: the centralizer index and the component group
+    A(s) have the same ell-valuation; each factor passes the structural
+    ell-prime test; and the ell-part of A(s) fixes the decorated
+    parameter.  An independent route to global_relevant.
+    """
+    a = component_group(chi.cls, sp)
+    if (ell_val(index_order(chi.cls, n, sp), ell) != ell_val(len(a), ell)
+            or not _factors_ellprime(chi, sp, ell)):
+        return False
+    m1 = eigen_modulus(1, sp)
+    for z in a:
+        if z and _is_ell_power(m1 // math.gcd(z, m1), ell):
+            if zhat_act(chi, sp, z) != chi:
+                return False
+    return True
+
+
 @pytest.mark.parametrize("n,eps,q,ell", [
     (2, 1, 3, 2), (2, 1, 2, 3), (3, 1, 2, 7), (2, -1, 2, 3), (2, -1, 3, 2),
 ])
@@ -107,6 +137,12 @@ def test_relevance_definitions_agree(n, eps, q, ell):
     sp = spp(eps, q)
     for chi in enumerate_irr(n, sp):
         assert global_relevant(chi, n, sp, ell) == sl_relevant(chi, n, sp, ell)
+
+
+def from_params(data: dict) -> GlobalChar:
+    """Inverse of to_params."""
+    cls = SSClass(tuple(((k, e), m) for k, e, m in data["factors"]))
+    return GlobalChar(cls, tuple(tuple(p) for p in data["parts"]))
 
 
 def test_params_round_trip():

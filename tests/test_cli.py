@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from sympy import isprime, primefactors
 
-from mckaylab import gggr
+from mckaylab import cli, gggr
 from mckaylab.cli import main
 from mckaylab.exactfield import CertificateError
 
@@ -160,6 +161,43 @@ def test_output_file(tmp_path):
               "--format", "json", "--out", str(out))
     assert res.exit_code == 0
     assert json.loads(out.read_text())[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--n", "2", "--q", "3", "--ell", "2", "--out", "MISSING"),
+    ("oracle", "--kind", "GL", "--n", "2", "--q", "3", "--out", "MISSING"),
+    ("gggr", "--check", "parity", "--n", "3", "--out", "MISSING"),
+    ("gggr", "--check", "mult-one", "--n", "2", "--q", "3", "--out", "DIR"),
+    ("verify", "--n", "2", "--q", "3", "--ell", "2", "--workers", "0"),
+    ("verify", "--n", "2", "--q", "3", "--ell", "2", "--workers", "-1"),
+], ids=["verify-out", "oracle-out", "gggr-out", "gggr-out-dir",
+        "workers-0", "workers-neg"])
+def test_bad_out_or_workers_is_a_usage_error_before_any_work(
+        args, tmp_path, monkeypatch):
+    def no_work(*_):
+        raise AssertionError("work started before the usage check")
+
+    for owner, name in ((cli, "run_grid"), (cli, "build_group"),
+                        (gggr, "sweep_parity_symmetry"),
+                        (gggr, "check_multiplicity_one")):
+        monkeypatch.setattr(owner, name, no_work)
+    paths = {"MISSING": str(tmp_path / "missing" / "x.json"),
+             "DIR": str(tmp_path)}
+    args = [paths.get(a, a) for a in args]
+    res = run(*args)
+    assert res.exit_code == 2
+    assert (args[-1] if args[-2] == "--out" else "--workers") in res.output
+
+
+def test_out_probe_creates_and_truncates_nothing(tmp_path):
+    old = tmp_path / "old.txt"
+    old.write_text("kept\n")
+    new = tmp_path / "new.txt"
+    # both commands stop at a usage error after --out is checked
+    assert run("verify", "--n", "2", "--out", str(old)).exit_code == 2
+    assert run("verify", "--n", "2", "--out", str(new)).exit_code == 2
+    assert old.read_text() == "kept\n"
+    assert not new.exists()
 
 
 def test_verify_rejects_invalid_cells():

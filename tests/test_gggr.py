@@ -11,11 +11,17 @@ from mckaylab.partitions import partitions
 
 
 def test_weighted_dynkin_frozen_examples():
-    assert gggr.weighted_dynkin((3,)) == ((-2, 0, 2), (2, 2))
-    assert gggr.weighted_dynkin((2, 1)) == ((-1, 0, 1), (1, 1))
-    assert gggr.weighted_dynkin((1, 1, 1)) == ((0, 0, 0), (0, 0))
-    assert gggr.weighted_dynkin((2, 2)) == ((-1, -1, 1, 1), (0, 2, 0))
-    assert gggr.weighted_dynkin((4,)) == ((-3, -1, 1, 3), (2, 2, 2))
+    # ascending weights, and the diagram labels as their differences
+    for lam, h, labels in [
+        ((3,), (-2, 0, 2), (2, 2)),
+        ((2, 1), (-1, 0, 1), (1, 1)),
+        ((1, 1, 1), (0, 0, 0), (0, 0)),
+        ((2, 2), (-1, -1, 1, 1), (0, 2, 0)),
+        ((4,), (-3, -1, 1, 3), (2, 2, 2)),
+    ]:
+        weights = tuple(w for w, _ in gggr.weight_multiset(lam))
+        assert weights == h
+        assert tuple(b - a for a, b in zip(weights, weights[1:])) == labels
 
 
 def test_level_counts():

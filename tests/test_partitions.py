@@ -4,16 +4,16 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from mckaylab.exactfield import spp
+from mckaylab.exactfield import CertificateError, spp
 from mckaylab.partitions import (
+    _partition_from_beta,
+    beta_set,
     conjugate,
     e_core_quotient,
-    from_core_quotient,
     generic_degree,
     hook_lengths,
     partitions,
     wreath_degree,
-    wreath_irr,
     wreath_labels,
 )
 
@@ -46,6 +46,29 @@ def test_symmetric_dims_square_to_factorial():
         assert sum(wreath_degree((lam,)) ** 2 for lam in partitions(n)) \
             == math.factorial(n)
     assert wreath_degree(((2, 1),)) == 2
+
+
+def from_core_quotient(core, quotient, e):
+    """Inverse of e_core_quotient for a genuine e-core."""
+    if len(quotient) != e:
+        raise ValueError("quotient must have e components")
+    need = max([len(core)] + [e * (len(mu) + 1) for mu in quotient])
+    length = e * (need // e + 1)
+    beta = beta_set(core, length)
+    runners = [[] for _ in range(e)]
+    for b in beta:
+        runners[b % e].append(b // e)
+    new_beta = []
+    for r, runner in enumerate(runners):
+        positions = sorted(runner)
+        if positions != list(range(len(positions))):
+            raise CertificateError("input is not an e-core")
+        mu = quotient[r]
+        k = len(positions)
+        padded = tuple(mu) + (0,) * (k - len(mu))
+        for i, pos in enumerate(positions):
+            new_beta.append(e * (pos + padded[k - 1 - i]) + r)
+    return _partition_from_beta(tuple(new_beta))
 
 
 @given(small_partitions, st.integers(2, 6))
@@ -82,6 +105,5 @@ def test_wreath_label_degrees():
 def test_wreath_irr_mass_formula():
     for e in (1, 2, 3, 4):
         for w in (0, 1, 2, 3, 4):
-            pairs = wreath_irr(e, w)
-            assert all(d == wreath_degree(l) for l, d in pairs)
-            assert sum(d * d for _, d in pairs) == e**w * math.factorial(w)
+            assert sum(wreath_degree(l) ** 2 for l in wreath_labels(e, w)) \
+                == e**w * math.factorial(w)

@@ -3,12 +3,11 @@
 from mckaylab.exactfield import spp
 from mckaylab.matrixoracle import build_group
 from mckaylab.ssclasses import (
+    SSClass,
     canonical_label,
     centralizer_order,
     component_group,
     enumerate_ss_classes,
-    identity_class,
-    is_central,
     labels_of_degree,
     norm_exponent,
     pgl_ss_classes,
@@ -18,6 +17,14 @@ from mckaylab.ssclasses import (
 SP_GL3 = spp(1, 3)
 SP_GL2F2 = spp(1, 2)
 SP_GU2 = spp(-1, 2)
+
+
+def identity_class(n: int) -> SSClass:
+    return SSClass((((1, 0), n),))
+
+
+def is_central(cls: SSClass) -> bool:
+    return len(cls.factors) == 1 and cls.factors[0][0][0] == 1
 
 
 def test_class_counts():
