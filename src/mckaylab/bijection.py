@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 
-from sympy import isprime
-
 from .exactfield import (
     SignedPrimePower,
     element_order,
     ell_part,
     ell_val,
     group_order,
+    isprime,
     sl_group_order,
     spp,
 )

@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import click
-from sympy import isprime
 
 from . import dixon, gggr
 from .bijection import (
@@ -29,7 +28,7 @@ from .bijection import (
     run_cell,
     run_grid,
 )
-from .exactfield import CertificateError, spp
+from .exactfield import CertificateError, isprime, spp
 from .matrixoracle import OracleError, build_group
 from .partitions import partitions
 
@@ -180,11 +179,11 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
               default="table", show_default=True)
 def oracle(kind, n, q, ell, out, fmt) -> None:
     """Exact conjugacy and character data for one finite matrix group."""
-    if ell is not None and not isprime(ell):
-        raise click.UsageError(f"ell={ell} is not prime")
-    try:
+    try:   # ell past the primality bound, OracleError, q not a prime power
+        if ell is not None and not isprime(ell):
+            raise click.UsageError(f"ell={ell} is not prime")
         group = build_group(kind, n, q)
-    except ValueError as exc:   # OracleError, or q not a prime power
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if ell is not None and group.sp.p == ell:
         raise click.UsageError(f"ell={ell} divides q={q}")

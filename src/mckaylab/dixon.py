@@ -15,10 +15,37 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cache
+from itertools import repeat
 
-from sympy import Poly, Symbol, cyclotomic_poly, factorint, isprime
+from .exactfield import CertificateError, isprime, prime_factors
 
-from .exactfield import CertificateError
+
+@cache
+def _cyclotomic(N: int) -> tuple:
+    """Little-endian integer coefficients of the N-th cyclotomic polynomial.
+
+    x^N - 1 is divided by Phi_d for every proper divisor d of N; each
+    division must be exact, or CertificateError is raised.
+    """
+    if N < 1:
+        raise CertificateError(f"no cyclotomic polynomial of order {N}")
+    rem = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d:
+            continue
+        phi = _cyclotomic(d)
+        deg = len(phi) - 1
+        quot = [0] * (len(rem) - deg)
+        for i in range(len(rem) - 1, deg - 1, -1):
+            c = quot[i - deg] = rem[i]
+            if c:
+                for j in range(deg + 1):
+                    rem[i - deg + j] -= c * phi[j]
+        if any(rem[:deg]):
+            raise CertificateError(f"Phi_{d} does not divide x^{N} - 1")
+        rem = quot
+    return tuple(rem)
 
 
 class CycContext:
@@ -31,14 +58,13 @@ class CycContext:
     """
 
     def __init__(self, N: int):
-        x = Symbol("x")
-        coeffs = [int(c) for c in Poly(cyclotomic_poly(N, x), x).all_coeffs()]
-        if coeffs[0] != 1:
+        coeffs = _cyclotomic(N)
+        if coeffs[-1] != 1:
             raise CertificateError("cyclotomic polynomial is not monic")
         self.N = N
         self.deg = len(coeffs) - 1
         # little-endian coefficients of Phi_N minus the leading term
-        self.phi = tuple(reversed(coeffs[1:]))
+        self.phi = coeffs[:-1]
         self.zero = (0,) * self.deg
         self.one = (1,) + (0,) * (self.deg - 1)
         pows = [self.one]
@@ -60,10 +86,10 @@ class CycContext:
         return (c,) + (0,) * (self.deg - 1)
 
     def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def scal(self, c: int, a: tuple) -> tuple:
-        return tuple(c * x for x in a)
+        return tuple(map(operator.mul, repeat(c), a))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         prod = [0] * (2 * self.deg - 1)
@@ -197,7 +223,10 @@ def _express(v, rows, pivots, r):
 
 
 def _matvec(m, v, r):
-    return [sum(mi[j] * v[j] for j in range(len(v)) if v[j]) % r for mi in m]
+    """m.v mod r, reading only the entries of m's rows where v is nonzero."""
+    nz = [j for j, x in enumerate(v) if x]
+    vals = [v[j] for j in nz]
+    return [sum(map(operator.mul, map(mi.__getitem__, nz), vals)) % r for mi in m]
 
 
 def _charpoly(a, r):
@@ -269,14 +298,13 @@ def _split_common_eigenspaces(mats, r):
             coords = [_express(img, rows, pivots, r) for img in images]
             # restricted matrix: column j = coords of image of basis row j
             a = [[coords[j][i] for j in range(dim)] for i in range(dim)]
+            cols = tuple(zip(*rows))
             found = 0
             for lam in _eigenvalues(a, r):
                 nb = _nullspace(a, lam, r)
                 found += len(nb)
-                vecs = [
-                    [sum(c[i] * rows[i][t] for i in range(dim)) % r for t in range(size)]
-                    for c in nb
-                ]
+                vecs = [[sum(map(operator.mul, c, col)) % r for col in cols]
+                        for c in nb]
                 refined.append(_rref(vecs, r))
             if found != dim:
                 raise CertificateError("class matrix failed to split over F_r")
@@ -299,7 +327,7 @@ def _find_prime(N: int, order: int, n_classes: int) -> int:
 
 
 def _root_of_unity_mod(N: int, r: int) -> int:
-    primes = list(factorint(N))
+    primes = prime_factors(N)
     for g in range(2, r):
         w = pow(g, (r - 1) // N, r)
         if pow(w, N, r) == 1 and all(pow(w, N // p, r) != 1 for p in primes):

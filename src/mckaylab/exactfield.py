@@ -1,9 +1,11 @@
 """Exact arithmetic foundation.
 
-Small finite fields with deterministic defining polynomials (GF(p)[x]
-arithmetic from sympy's galoistools), the one power-walking order routine,
-l-part/l'-part splitting and orders of general linear and unitary groups.
-Everything is plain integer arithmetic; nothing here is approximate.
+Primality, prime powers and prime factors of integers; small finite
+fields with deterministic defining polynomials and their GF(p)[x]
+remainder and irreducibility routines; the one power-walking order
+routine, l-part/l'-part splitting and orders of general linear and unitary
+groups.  Everything is plain integer arithmetic; nothing here is
+approximate or probabilistic.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-
-from sympy import factorint, isprime
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 FIELD_SIZE_LIMIT = 2**20
 
@@ -32,6 +30,88 @@ class CertificateError(AssertionError):
 
     Raised explicitly, never by `assert`, so it still fires under python -O.
     """
+
+
+# ---------------------------------------------------------------------------
+# primes
+
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# _MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin.
+
+    Exact below _MR_BOUND (about 3.3e24); at or past it there is no proof
+    and ExactFieldError is raised instead of a probable answer.
+    """
+    if n >= _MR_BOUND:
+        raise ExactFieldError(f"{n} is past the proven primality bound {_MR_BOUND}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, by integer Newton steps."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, m) with q = p**m and p prime, or None when q is no prime power.
+
+    The largest k with q a perfect k-th power gives a base that is no
+    perfect power itself, so q is a prime power exactly when that base is
+    prime.
+    """
+    for k in range(q.bit_length() - 1, 1, -1):
+        r = _iroot(q, k)
+        if r**k == q:
+            return (r, k) if isprime(r) else None
+    return (q, 1) if isprime(q) else None
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ExactFieldError(f"{n} must be >= 1")
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +146,53 @@ class SignedPrimePower:
 
 def spp(eps: int, q: int) -> SignedPrimePower:
     """Build a SignedPrimePower from a sign and a prime power given as int."""
-    fac = factorint(q)
-    if len(fac) != 1:
+    pm = prime_power(q)
+    if pm is None:
         raise ExactFieldError(f"{q} is not a prime power")
-    ((p, m),) = fac.items()
-    return SignedPrimePower(eps, p, m)
+    return SignedPrimePower(eps, *pm)
 
 
 @cache
 def factor_field(k: int, sp: SignedPrimePower) -> SignedPrimePower:
     """The signed field of the degree-k extension: eps^k and q^k."""
     return spp(sp.eps**k, sp.q**k)
+
+
+# ---------------------------------------------------------------------------
+# GF(p)[x], as little-endian coefficient sequences
+
+
+def _monic(code: int, k: int, p: int) -> tuple[int, ...]:
+    """The monic degree-k polynomial whose lower coefficients are the k
+    base-p digits of code."""
+    lower = []
+    for _ in range(k):
+        lower.append(code % p)
+        code //= p
+    return tuple(lower) + (1,)
+
+
+def _poly_rem(a, m, p: int) -> tuple[int, ...]:
+    """Remainder of a modulo the monic m over GF(p), len(m) - 1 coefficients."""
+    a = list(a)
+    dm = len(m) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        if c:
+            for j in range(dm):
+                a[i - dm + j] -= c * m[j]
+    return tuple(x % p for x in a[:dm])
+
+
+def _irreducible(poly, p: int) -> bool:
+    """Whether the monic poly of degree k >= 1 is irreducible over GF(p):
+    no monic polynomial of degree 1 .. k // 2 divides it."""
+    k = len(poly) - 1
+    for d in range(1, k // 2 + 1):
+        for code in range(p**d):
+            if not any(_poly_rem(poly, _monic(code, d, p), p)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +288,15 @@ class FiniteField:
         p = self.p
         if self.k == 1:
             return (a * b) % p
-        # sympy's dense GF(p)[x] lists are big-endian
-        prod = gf_mul(self._dec(a)[::-1], self._dec(b)[::-1], p, ZZ)
-        rem = gf_rem(prod, self.modulus[::-1], p, ZZ)
-        return self._enc(tuple(int(c) for c in reversed(rem)))
+        if not (a and b):
+            return 0
+        da, db = self._dec(a), self._dec(b)
+        prod = [0] * (len(da) + len(db) - 1)
+        for i, x in enumerate(da):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+        return self._enc(_poly_rem(prod, self.modulus, p))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -241,13 +362,8 @@ def build_field(p: int, k: int) -> FiniteField:
     if p**k > FIELD_SIZE_LIMIT:
         raise ExactFieldError(f"field size {p**k} exceeds limit {FIELD_SIZE_LIMIT}")
     for code in range(p**k):
-        lower = []
-        c = code
-        for _ in range(k):
-            lower.append(c % p)
-            c //= p
-        poly = tuple(lower) + (1,)
-        if gf_irreducible_p(poly[::-1], p, ZZ):
+        poly = _monic(code, k, p)
+        if _irreducible(poly, p):
             return FiniteField(p, k, poly)
     raise ExactFieldError("no irreducible polynomial found")  # pragma: no cover
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from sympy import isprime, primefactors
 
 from mckaylab import cli, gggr
 from mckaylab.cli import main
-from mckaylab.exactfield import CertificateError
+from mckaylab.exactfield import _MR_BOUND, CertificateError
 
 
 def run(*args):
@@ -262,6 +263,26 @@ def test_oracle_rejects_composite_ell():
     res = run("oracle", "--kind", "GL", "--n", "2", "--q", "3", "--ell", "4")
     assert res.exit_code == 2
     assert "not prime" in res.output
+
+
+def test_verify_rejects_a_product_of_two_large_primes_quickly():
+    t0 = time.perf_counter()
+    res = run("verify", "--n", "2", "--q", str(1000003 * 1000033), "--ell", "2")
+    assert res.exit_code == 2
+    assert "not a prime power" in res.output
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--n", "2", "--q", "3", "--ell", str(_MR_BOUND)),
+    ("verify", "--n", "2", "--q", "3", "--ell", str(_MR_BOUND + 2)),
+    ("verify", "--n", "2", "--q", str(_MR_BOUND), "--ell", "2"),
+    ("oracle", "--kind", "GL", "--n", "2", "--q", "3", "--ell", str(_MR_BOUND)),
+])
+def test_numbers_past_the_primality_bound_are_usage_errors(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "primality bound" in res.output
 
 
 def test_gggr_gamma_conj_rejects_groups_over_the_limit():

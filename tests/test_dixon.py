@@ -1,8 +1,10 @@
 """Exact character tables over cyclotomic integers."""
 
 import pytest
+import sympy
 
 from mckaylab import dixon
+from mckaylab.exactfield import CertificateError
 from mckaylab.matrixoracle import build_group, sylow_subgroup
 
 TABLES = {
@@ -126,3 +128,15 @@ def test_cyc_context_arithmetic():
     assert ctx.as_int(ctx.from_int(5)) == 5
     with pytest.raises(AssertionError):
         ctx.divide_int(ctx.from_int(3), 2)
+
+
+def test_cyclotomic_matches_sympy_up_to_200():
+    x = sympy.Symbol("x")
+    for N in range(1, 201):
+        ref = sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()
+        assert dixon._cyclotomic(N) == tuple(int(c) for c in reversed(ref)), N
+
+
+def test_cyclotomic_rejects_a_non_positive_order():
+    with pytest.raises(CertificateError):
+        dixon._cyclotomic(0)

@@ -1,19 +1,104 @@
 """Arithmetic helpers: signed prime powers, orders, field towers."""
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from mckaylab.exactfield import (
+    _MR_BOUND,
     ExactFieldError,
+    _irreducible,
+    _monic,
     build_field,
     ell_part,
     ell_val,
     group_order,
+    isprime,
     mult_order,
     order_for_ell,
+    prime_factors,
+    prime_power,
     sl_group_order,
     spp,
 )
+
+# sympy is a test-only dependency: the reference the integer routines are
+# checked against.
+
+
+def test_isprime_matches_sympy_up_to_200000():
+    assert [n for n in range(-3, 200_001) if isprime(n)] == list(
+        sympy.primerange(2, 200_001))
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,  # Carmichael
+    2047, 1373653, 25326001, 3215031751,  # strong pseudoprimes to 2; 2,3; 2,3,5; 2,3,5,7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+    2**61 - 1, 2**31 - 1, 10**18 + 9, _MR_BOUND - 2,
+])
+def test_isprime_on_pseudoprimes_and_large_numbers(n):
+    assert isprime(n) == sympy.isprime(n)
+
+
+def test_isprime_refuses_past_its_proven_bound():
+    with pytest.raises(ExactFieldError, match="primality bound"):
+        isprime(_MR_BOUND)
+    with pytest.raises(ExactFieldError):
+        isprime(2**89 - 1)
+
+
+def _sympy_prime_power(q):
+    fac = sympy.factorint(q) if q >= 2 else {}
+    return next(iter(fac.items())) if len(fac) == 1 else None
+
+
+def test_prime_power_matches_sympy_up_to_5000():
+    for q in range(5001):
+        assert prime_power(q) == _sympy_prime_power(q), q
+
+
+@pytest.mark.parametrize("q,expected", [
+    ((2**61 - 1) ** 2, (2**61 - 1, 2)),
+    (1000003**3, (1000003, 3)),
+    (1000003 * 1000033, None),
+    (2**80, (2, 80)),
+    (6**40, None),
+    (-4, None),
+    (-27, None),
+])
+def test_prime_power_on_large_and_negative_inputs(q, expected):
+    assert prime_power(q) == expected
+
+
+def test_prime_factors_match_sympy_up_to_3000():
+    for n in range(1, 3001):
+        assert prime_factors(n) == sympy.primefactors(n), n
+    with pytest.raises(ExactFieldError):
+        prime_factors(0)
+
+
+def test_irreducible_matches_sympy_on_small_candidates():
+    for p in (2, 3, 5, 7, 11, 13):
+        k = 1
+        while p**k <= 169:
+            for code in range(p**k):
+                poly = _monic(code, k, p)
+                assert _irreducible(poly, p) == gf_irreducible_p(
+                    list(poly[::-1]), p, ZZ), (p, poly)
+            k += 1
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7, 11, 13)
+                                 for k in range(1, 8) if p**k <= 169])
+def test_build_field_picks_the_modulus_sympy_would(p, k):
+    # every field of the oracle and gggr, GF(q) and GF(q^2) for q <= 13
+    first = next(_monic(code, k, p) for code in range(p**k)
+                 if gf_irreducible_p(list(_monic(code, k, p)[::-1]), p, ZZ))
+    assert build_field(p, k).modulus == first
 
 
 def test_signed_prime_power_basics():
