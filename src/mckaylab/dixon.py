@@ -230,28 +230,59 @@ def _matvec(m, v, r):
 
 
 def _charpoly(a, r):
-    """Monic characteristic polynomial coefficients c1..cm, Faddeev-LeVerrier."""
+    """Monic characteristic polynomial coefficients c1..cm of a over F_r.
+
+    a is brought to upper Hessenberg form h by similarity: for each column,
+    a row with a nonzero entry below the subdiagonal is swapped up (with
+    its column) and clears the entries under it.  The characteristic
+    polynomials p_k of the leading k x k blocks of h then satisfy
+    p_k = (x - h_kk) p_(k-1) - sum_i h_ik (h_(i+1)i ... h_k(k-1)) p_(i-1),
+    O(m^3) operations in all (Cohen, "A Course in Computational Algebraic
+    Number Theory", Alg. 2.2.9).
+    """
     m = len(a)
-    cur = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    coeffs = []
-    for k in range(1, m + 1):
-        cols = tuple(zip(*cur))
-        am = [[sum(map(operator.mul, row, col)) % r for col in cols] for row in a]
-        c = (-sum(am[i][i] for i in range(m)) * pow(k, -1, r)) % r
-        coeffs.append(c)
-        if k < m:
-            cur = [
-                [(am[i][j] + (c if i == j else 0)) % r for j in range(m)]
-                for i in range(m)
-            ]
-    return coeffs
+    h = [[x % r for x in row] for row in a]
+    for j in range(m - 2):
+        piv = next((i for i in range(j + 1, m) if h[i][j]), None)
+        if piv is None:
+            continue
+        s = j + 1
+        if piv != s:
+            h[piv], h[s] = h[s], h[piv]
+            for row in h:
+                row[piv], row[s] = row[s], row[piv]
+        hs, inv = h[s], pow(h[s][j], -1, r)
+        for i in range(j + 2, m):
+            u = h[i][j] * inv % r
+            if u:
+                hi = h[i]
+                for t in range(j, m):
+                    hi[t] = (hi[t] - u * hs[t]) % r
+                for row in h:
+                    row[s] = (row[s] + u * row[i]) % r
+    # polys[k]: little-endian characteristic polynomial of the leading k x k block
+    polys = [[1]]
+    for k in range(m):
+        new = [0] + polys[k]
+        hkk = h[k][k]
+        for t, c in enumerate(polys[k]):
+            new[t] = (new[t] - hkk * c) % r
+        sub = 1
+        for i in range(k - 1, -1, -1):
+            sub = sub * h[i + 1][i] % r
+            if not sub:
+                break
+            c = h[i][k] * sub % r
+            if c:
+                for t, x in enumerate(polys[i]):
+                    new[t] = (new[t] - c * x) % r
+        polys.append(new)
+    return polys[m][-2::-1]
 
 
 def _eigenvalues(a, r):
     """All roots in F_r of the characteristic polynomial, ascending."""
     m = len(a)
-    if m == 1:
-        return [a[0][0] % r]
     coeffs = _charpoly(a, r)
     roots = []
     for lam in range(r):
@@ -298,6 +329,11 @@ def _split_common_eigenspaces(mats, r):
             coords = [_express(img, rows, pivots, r) for img in images]
             # restricted matrix: column j = coords of image of basis row j
             a = [[coords[j][i] for j in range(dim)] for i in range(dim)]
+            if all(a[i][j] == (a[0][0] if i == j else 0)
+                   for i in range(dim) for j in range(dim)):
+                # m acts as a scalar: the space is one eigenspace already
+                refined.append((rows, pivots))
+                continue
             cols = tuple(zip(*rows))
             found = 0
             for lam in _eigenvalues(a, r):

@@ -321,14 +321,34 @@ class FiniteField:
         return self.pow(a, self.p)
 
     def _build_tables(self) -> None:
-        n = self.size
-        self.add_table = [tuple(self._add_raw(a, b) for b in range(n)) for a in range(n)]
-        self.neg_table = [self._neg_raw(a) for a in range(n)]
-        self.mul_table = [tuple(self._mul_raw(a, b) for b in range(n)) for a in range(n)]
-        inv = [0] * n
-        for a in range(1, n):
-            inv[a] = self.mul_table[a].index(1)
-        self.inv_table = inv
+        n, p = self.size, self.p
+        # Addition is digitwise: the table on the lowest j+1 digits is the
+        # table on the lowest j digits, shifted by the sum of the top digits.
+        add = [tuple((a + b) % p for b in range(p)) for a in range(p)]
+        w = p
+        while w < n:
+            add = [tuple(x + (hi + bh) % p * w for bh in range(p) for x in add[lo])
+                   for hi in range(p) for lo in range(w)]
+            w *= p
+        self.add_table = add
+        self.neg_table = [row.index(0) for row in add]
+        # Multiplication through discrete logarithms to the least primitive
+        # element g; powers[e] = g^e for e < n - 1.
+        for g in range(1, n):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self._mul_raw(x, g)
+            if len(powers) == n - 1:
+                break
+        log = [0] * n
+        for e, x in enumerate(powers):
+            log[x] = e
+        exp = powers * 2
+        unit_logs = log[1:]
+        self.mul_table = [(0,) * n] + [
+            (0,) + tuple(exp[log[a] + e] for e in unit_logs) for a in range(1, n)]
+        self.inv_table = [0] + [powers[-log[a]] for a in range(1, n)]
 
     # structure -----------------------------------------------------------
 

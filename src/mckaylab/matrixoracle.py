@@ -95,17 +95,17 @@ def mat_mul(a: Matrix, b: Matrix, F: FiniteField) -> Matrix:
     return tuple(map(_row_kernel(b, F), a))
 
 
-class _RowImages(dict):
-    """Rows mapped to their images under one row kernel, filled on demand."""
+class _Images(dict):
+    """Arguments mapped to their images under one function, filled on demand."""
 
-    __slots__ = ("kernel",)
+    __slots__ = ("function",)
 
-    def __init__(self, kernel):
+    def __init__(self, function):
         super().__init__()
-        self.kernel = kernel
+        self.function = function
 
-    def __missing__(self, row):
-        image = self[row] = self.kernel(row)
+    def __missing__(self, x):
+        image = self[x] = self.function(x)
         return image
 
 
@@ -115,7 +115,7 @@ def right_mul(b: Matrix, F: FiniteField):
     Row i of a.b depends only on row i of a, so each distinct row is
     multiplied once and its image kept for as long as the map lives.
     """
-    images = _RowImages(_row_kernel(b, F))
+    images = _Images(_row_kernel(b, F))
     return lambda a: tuple(map(images.__getitem__, a))
 
 
@@ -519,16 +519,53 @@ def gamma_map(G: MatrixGroup, g: Matrix) -> Matrix:
 
 
 def normalizer(view: GroupView, sub: GroupView) -> GroupView:
-    """{g : g S g^-1 = S} by scanning; sub must be a subgroup of view."""
-    sub_set = set(sub.elements)
-    steps = [view.right(s) for s in sub.generators or sub.elements]
+    """N_view(sub) by orbit-stabilizer; sub must be a subgroup of view.
+
+    The conjugates of sub under the generators of view are enumerated,
+    keyed by their sorted elements, each conjugate T = t.sub.t^-1 with its
+    transversal element t.  The normalizer has order |view| / |orbit| and
+    is closed greedily from the Schreier generators t'^-1.g.t, one for each
+    generator g and conjugate T whose image g.T.g^-1 = t'.sub.t'^-1 was
+    reached before.  OracleError is raised unless that closure has exactly
+    this order and every kept generator conjugates each generator of sub
+    into sub.  The element conjugations are kept for the call, since
+    conjugates share most of their elements.
+    """
+    gens = view.generators or view.elements
+    steps = []
+    for g in gens:
+        g_times, times_gi = view.left(g), view.right(view.inv(g))
+        steps.append((g, g_times, _Images(lambda x, a=g_times, b=times_gi: a(b(x)))))
+    transversal = {sub.elements: view.identity}
+    edges = []
+    frontier = [sub.elements]
+    while frontier:
+        conj = frontier.pop()
+        t = transversal[conj]
+        for g, g_times, conjugate in steps:
+            image = tuple(sorted(map(conjugate.__getitem__, conj)))
+            if image not in transversal:
+                transversal[image] = g_times(t)
+                frontier.append(image)
+            else:
+                edges.append((image, g, t))
+    if len(transversal) == 1:
+        return view
+    order, rem = divmod(view.order, len(transversal))
+    if rem:
+        raise OracleError(f"orbit of {len(transversal)} conjugates does not "
+                          f"divide |G| = {view.order}")
     mul, inv = view.mul, view.inv
-    out = []
-    for g in view.elements:
-        gi = inv(g)
-        if all(mul(times_s(g), gi) in sub_set for times_s in steps):
-            out.append(g)
-    return subgroup_view(view, out)
+    schreier = (mul(inv(transversal[image]), mul(g, t)) for image, g, t in edges)
+    kept, elements = find_generators(schreier, view.right, view.identity, order)
+    sub_set = set(sub.elements)
+    if len(elements) != order:
+        raise OracleError(f"Schreier closure has {len(elements)} elements, "
+                          f"expected |G| / |orbit| = {order}")
+    if not all(mul(mul(n, s), inv(n)) in sub_set
+               for n in kept for s in sub.generators or sub.elements):
+        raise OracleError("a Schreier generator does not normalize the subgroup")
+    return subgroup_view(view, elements, kept)
 
 
 def sylow_subgroup(view: GroupView, ell: int) -> GroupView:

@@ -1,7 +1,10 @@
 """Acceptance gate: the eight certificates, one pass/fail line each.
 
 Criteria 3, 4, 6 and 8 share the session-scoped full-grid run from
-conftest; its wall time is charged to criterion 3.
+conftest; its wall time is charged to criterion 3.  The frontier test,
+which confronts every default-grid cell with |G| <= 25000 with the oracle,
+carries the `frontier` marker: the default options deselect it, and
+`pytest -m frontier` runs it.
 """
 
 import time
@@ -9,7 +12,13 @@ import time
 import pytest
 
 from mckaylab import dixon, gggr
-from mckaylab.bijection import Cell, oracle_table, verify_vs_oracle
+from mckaylab.bijection import (
+    Cell,
+    default_grid,
+    oracle_table,
+    run_grid,
+    verify_vs_oracle,
+)
 from mckaylab.charparams import count_irr_sl, count_jordan_params
 from mckaylab.exactfield import spp
 from mckaylab.matrixoracle import build_group
@@ -156,3 +165,18 @@ def test_criterion_8_ellprime_criteria(grid_run):
         assert rep["checks"]["mckay"] is True, rep["cell"]
     report("criterion 8: PASS - direct, factorization and structural "
            "prime-to-ell tests agree for every character on every cell")
+
+
+@pytest.mark.frontier
+def test_oracle_frontier_at_25000():
+    t0 = time.perf_counter()
+    reports = run_grid(default_grid(), oracle_limit=25000, with_oracle=True)
+    elapsed = time.perf_counter() - t0
+    assert len(reports) == 90
+    bad = [rep["cell"] for rep in reports if rep["status"] != "ok"]
+    assert not bad, bad
+    n_oracle = sum(rep["checks"]["oracle"] is True for rep in reports)
+    assert n_oracle == 45
+    assert elapsed < 40.0, f"oracle frontier took {elapsed:.1f}s"
+    report(f"frontier: PASS - 90 cells ok, {n_oracle} confronted with the "
+           f"oracle at |G| <= 25000 in {elapsed:.1f}s")

@@ -349,10 +349,27 @@ def test_certificates_run_under_optimize():
         "    ctx.divide_int(ctx.from_int(3), 2)\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        "import dataclasses\n"
+        "from itertools import islice\n"
+        "from mckaylab import dixon, matrixoracle as mo\n"
+        "G = mo.build_group('GL', 2, 3)\n"
+        "P = mo.sylow_subgroup(G, 2)\n"
+        "charpoly = dixon._charpoly\n"
+        "dixon._charpoly = lambda a, r: [c + 1 for c in charpoly(a, r)]\n"
+        "try:\n"
+        "    dixon.character_table(dataclasses.replace(G, _table=None))\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+        "greedy = mo.find_generators\n"
+        "mo.find_generators = lambda c, *rest: greedy(islice(c, 1), *rest)\n"
+        "try:\n"
+        "    mo.normalizer(G, P)\n"
+        "except mo.OracleError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["ok", "raised", "raised", "raised"]
+    assert out.stdout.split() == ["ok"] + ["raised"] * 5

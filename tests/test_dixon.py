@@ -1,7 +1,11 @@
 """Exact character tables over cyclotomic integers."""
 
+import dataclasses
+import operator
+
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from mckaylab import dixon
 from mckaylab.exactfield import CertificateError
@@ -140,3 +144,56 @@ def test_cyclotomic_matches_sympy_up_to_200():
 def test_cyclotomic_rejects_a_non_positive_order():
     with pytest.raises(CertificateError):
         dixon._cyclotomic(0)
+
+
+def reference_charpoly(a, r):
+    """Monic characteristic polynomial coefficients c1..cm, Faddeev-LeVerrier.
+
+    O(m^4) and needs r > m, to divide by 1..m.
+    """
+    m = len(a)
+    cur = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    coeffs = []
+    for k in range(1, m + 1):
+        cols = tuple(zip(*cur))
+        am = [[sum(map(operator.mul, row, col)) % r for col in cols] for row in a]
+        c = (-sum(am[i][i] for i in range(m)) * pow(k, -1, r)) % r
+        coeffs.append(c)
+        if k < m:
+            cur = [
+                [(am[i][j] + (c if i == j else 0)) % r for j in range(m)]
+                for i in range(m)
+            ]
+    return coeffs
+
+
+@st.composite
+def sparse_matrix_mod_prime(draw):
+    """A square matrix over F_r, mostly zero, so that the Hessenberg
+    reduction meets zero subdiagonal pivots and has to swap rows."""
+    r = draw(st.sampled_from((11, 13, 37, 101, 1009)))
+    m = draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(0, r - 1))
+    return draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=m, max_size=m)), r
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_matrix_mod_prime())
+def test_hessenberg_charpoly_matches_faddeev_leverrier(case):
+    a, r = case
+    assert dixon._charpoly(a, r) == reference_charpoly(a, r)
+
+
+def test_wrong_charpoly_fails_the_table(monkeypatch):
+    right = dixon._charpoly
+
+    def wrong(a, r):
+        coeffs = right(a, r)
+        coeffs[-1] = (coeffs[-1] + 1) % r
+        return coeffs
+
+    monkeypatch.setattr(dixon, "_charpoly", wrong)
+    fresh = dataclasses.replace(build_group("GL", 2, 3), _table=None)
+    with pytest.raises(CertificateError):
+        dixon.character_table(fresh)

@@ -227,11 +227,15 @@ def digitwise(p, k, *elements, op):
 def test_add_and_neg_tables_match_digit_arithmetic(p, k):
     F = build_field(p, k)
     assert F.add_table is not None and F.neg_table is not None
+    assert F.mul_table is not None and F.inv_table is not None
     for a in range(F.size):
         assert F.neg(a) == digitwise(p, k, a, op=lambda x: -x)
         for b in range(F.size):
             assert F.add(a, b) == digitwise(p, k, a, b, op=lambda x, y: x + y)
             assert F.sub(a, b) == digitwise(p, k, a, b, op=lambda x, y: x - y)
+            assert F.mul(a, b) == F._mul_raw(a, b)
+        if a:
+            assert F._mul_raw(a, F.inv(a)) == 1
 
 
 @pytest.mark.parametrize("p,k", [(3, 5), (2, 8)])

@@ -1,9 +1,12 @@
 """Brute-force matrix groups: construction, classes, subgroup machinery."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mckaylab.exactfield import build_field
+from mckaylab import matrixoracle
+from mckaylab.exactfield import build_field, prime_factors
 from mckaylab.matrixoracle import (
     OracleError,
     build_group,
@@ -153,6 +156,46 @@ def test_quaternion_subgroup_of_sl2_3_is_normal():
     Q = subgroup_closure(G, gens)
     assert Q.order == 8
     assert normalizer(G, Q).order == 24
+
+
+def reference_normalizer(view, sub):
+    """{g : g S g^-1 = S} by scanning every element of view."""
+    sub_set = set(sub.elements)
+    gens = sub.generators or sub.elements
+    return subgroup_view(view, [
+        g for g in view.elements
+        if all(view.mul(view.mul(g, s), view.inv(g)) in sub_set for s in gens)])
+
+
+# the groups of the benchmark's oracle cells, plus SL(2,3) and SL(2,5)
+NORMALIZER_GROUPS = [("GL", 2, 2), ("GL", 2, 3), ("GL", 2, 4), ("GL", 2, 5),
+                     ("GL", 3, 2), ("GU", 2, 2), ("GU", 2, 3),
+                     ("SL", 2, 3), ("SL", 2, 5)]
+
+
+@pytest.mark.parametrize("key", NORMALIZER_GROUPS, ids="{0[0]}({0[1]},{0[2]})".format)
+def test_normalizer_matches_the_whole_group_scan(key):
+    G = build_group(*key)
+    subs = [sylow_subgroup(G, ell) for ell in prime_factors(G.order)]
+    subs += [subgroup_closure(G, [rep]) for rep in G.conjugacy_classes().reps]
+    for sub in subs:
+        got = normalizer(G, sub)
+        want = reference_normalizer(G, sub)
+        assert got.elements == want.elements
+        assert got is want
+
+
+def test_normalizer_rejects_a_short_schreier_closure(monkeypatch):
+    G = build_group("GL", 2, 3)
+    P = sylow_subgroup(G, 2)
+    greedy = matrixoracle.find_generators
+
+    def first_candidate_only(candidates, right, identity, order):
+        return greedy(islice(candidates, 1), right, identity, order)
+
+    monkeypatch.setattr(matrixoracle, "find_generators", first_candidate_only)
+    with pytest.raises(OracleError):
+        normalizer(G, P)
 
 
 def test_automorphisms_are_multiplicative():
