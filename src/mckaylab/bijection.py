@@ -22,11 +22,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import chain, permutations, product
 
 from .exactfield import (
     SignedPrimePower,
-    element_order,
     ell_part,
     ell_val,
     group_order,
@@ -59,7 +58,8 @@ from . import dixon
 from .matrixoracle import (
     OracleError,
     build_group,
-    identity_matrix,
+    conj_transpose,
+    mat_inv,
     mat_mul,
     normalizer,
     subgroup_closure,
@@ -386,74 +386,75 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
 
 
 # ---------------------------------------------------------------------------
-# explicit torus constructions for the oracle route
+# the explicit torus for the oracle route
 
 
-def _primitive_companion(F, d0: int, target: int):
-    """Companion matrix of the first monic degree-d0 polynomial over F whose
-    companion matrix has multiplicative order exactly target."""
-    idm = identity_matrix(d0)
+def _unit_basis(G):
+    """A matrix P with P^* h P = I for the form h of G; the identity for GL.
 
-    def mul(a, b):
-        return mat_mul(a, b, F)
-
-    for coeffs in product(range(F.size), repeat=d0):
-        if coeffs[0] == 0:
-            continue
-        comp = [[0] * d0 for _ in range(d0)]
-        for i in range(1, d0):
-            comp[i][i - 1] = 1
-        for i in range(d0):
-            comp[i][d0 - 1] = F.neg(coeffs[i])
-        cand = tuple(tuple(row) for row in comp)
-        if element_order(cand, mul, idm) == target:
-            return cand
-    raise OracleError(f"no degree-{d0} companion of order {target} over F")
+    h is v0, or delta.v0 with conj(delta) = -delta when v0 is skew (even n,
+    odd p); both define G.  Gram-Schmidt on a spanning set of the complement:
+    a member or a sum v + t.w has H(x, x) != 0 (the form is nondegenerate and
+    the trace onto GF(q) is onto) and is scaled by a lambda of norm 1/H(x, x).
+    """
+    if G.sp.eps == 1:
+        return G.identity
+    F, q, h = G.F, G.sp.q, G.v0
+    if conj_transpose(h, F, q) != h:
+        delta = next(x for x in F.units() if F.pow(x, q) == F.neg(x))
+        h = tuple(tuple(F.mul(delta, x) for x in row) for row in h)
+    form = lambda x, y: mat_mul(mat_mul(
+        (tuple(F.pow(t, q) for t in x),), h, F), tuple(zip(y)), F)[0][0]
+    axpy = lambda t, x, y: tuple(F.add(b, F.mul(t, a)) for a, b in zip(x, y))
+    span, columns = list(G.identity), []
+    for _ in range(G.n):
+        sums = (axpy(t, w, v) for v, w in permutations(span, 2)
+                for t in F.units())
+        x = next(v for v in chain(span, sums) if form(v, v))
+        c = form(x, x)
+        lam = next(t for t in F.units() if F.mul(F.pow(t, q + 1), c) == 1)
+        u = tuple(F.mul(lam, t) for t in x)
+        columns.append(u)
+        span = [axpy(F.neg(form(u, w)), u, w) for w in span]
+    return tuple(zip(*columns))
 
 
 def explicit_torus(G, ell: int):
-    """The product-of-cyclics torus whose normalizer realizes the local side.
+    """The Sylow torus C_Q^a of G whose normalizer realizes the local side.
 
-    Returns a subgroup view of G; trivial when ell does not divide |G|.
+    Generator i is b on diagonal block i, in bases where the forms are the
+    identity; b is the first class representative of order Q and class size
+    |H| / Q, a regular element generating a cyclic maximal torus, of the
+    degree-d0 group H of G's kind (G itself when d0 == n).  Trivial when ell
+    does not divide |G|.  Raises OracleError unless the generators are
+    commuting elements of G of exponent dividing Q that close to order Q^a.
     """
-    sp = G.sp
-    td = torus_data(G.n, sp, ell)
+    td = torus_data(G.n, G.sp, ell)
     if td.a == 0:
         return subgroup_view(G, (G.identity,), (G.identity,))
-    d0, Q = td.d0, td.Q
-
-    if sp.eps == 1:
-        block = _primitive_companion(G.F, d0, Q)
-        gens = []
-        for i in range(td.a):
-            m = [list(row) for row in G.identity]
-            for r in range(d0):
-                for c in range(d0):
-                    m[i * d0 + r][i * d0 + c] = block[r][c]
-            gens.append(tuple(tuple(row) for row in m))
-        torus = subgroup_closure(G, gens)
-        if torus.order != Q**td.a:
-            raise OracleError("split-side torus closure has wrong order")
-        return torus
-
-    if td.m == 0:
-        # a maximal torus: the centralizer of a regular element of it, that
-        # is of an element whose class has size |G| / Q^a
-        classes = G.conjugacy_classes()
-        for x, size in zip(classes.reps, classes.sizes):
-            if size * Q**td.a != G.order:
-                continue
-            times_x, x_times = G.right(x), G.left(x)
-            torus = subgroup_view(G, [g for g in G.elements
-                                      if times_x(g) == x_times(g)])
-            gens = torus.generators
-            if all(Q % G.element_order(g) == 0 for g in gens) and all(
-                    G.mul(g, h) == G.mul(h, g) for g in gens for h in gens):
-                return torus
-        raise OracleError(f"no centralizer of order {Q}^{td.a} is abelian "
-                          f"of exponent dividing {Q}")
-
-    raise OracleError("no explicit torus route for this unitary cell")
+    d0, Q, F = td.d0, td.Q, G.F
+    H = G if d0 == G.n else build_group(G.kind, d0, G.sp.q)
+    classes = H.conjugacy_classes()
+    b = next((x for x, size in zip(classes.reps, classes.sizes)
+              if size * Q == H.order and H.element_order(x) == Q), None)
+    if b is None:
+        raise OracleError(f"no regular element of order {Q} in degree {d0}")
+    P0, P = _unit_basis(H), _unit_basis(G)
+    block = mat_mul(mat_mul(mat_inv(P0, F), b, F), P0, F)
+    gens = []
+    for i in range(0, td.a * d0, d0):
+        D = [list(row) for row in G.identity]
+        for r, c in product(range(d0), repeat=2):
+            D[i + r][i + c] = block[r][c]
+        gens.append(mat_mul(mat_mul(P, D, F), mat_inv(P, F), F))
+    if not all(g in G and Q % G.element_order(g) == 0
+               and all(G.mul(g, h) == G.mul(h, g) for h in gens) for g in gens):
+        raise OracleError(f"the torus generators are not commuting elements "
+                          f"of G of exponent dividing {Q}")
+    torus = subgroup_closure(G, gens)
+    if torus.order != Q**td.a:
+        raise OracleError(f"torus closure has order {torus.order}, not {Q}^{td.a}")
+    return torus
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .bijection import (
     run_grid,
 )
 from .exactfield import CertificateError, isprime, spp
-from .matrixoracle import OracleError, build_group
+from .matrixoracle import GROUP_SIZE_LIMIT, OracleError, build_group
 from .partitions import partitions
 
 
@@ -117,8 +117,8 @@ def main() -> None:
               default="table", show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1,
               show_default=True)
-@click.option("--limit", type=int, default=ORACLE_ORDER_LIMIT,
-              show_default=True, help="oracle group-order cap")
+@click.option("--limit", type=click.IntRange(1, GROUP_SIZE_LIMIT),
+              default=ORACLE_ORDER_LIMIT, show_default=True, help="oracle group-order cap")
 @click.option("--oracle/--no-oracle", "with_oracle", default=True,
               show_default=True)
 @click.option("--timings", is_flag=True, default=False)

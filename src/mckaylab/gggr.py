@@ -26,7 +26,6 @@ from .bijection import oracle_table
 from .matrixoracle import (
     OracleError,
     build_group,
-    conjugacy_partition,
     form_matrix,
     frobenius_twist,
     gamma_map,
@@ -297,7 +296,7 @@ def gggr_multiplicities(n: int, q: int, lam: tuple) -> tuple:
     F = G.F
     els = u2_elements(lam, F)
     view = subgroup_view(G, els)
-    sub_part = conjugacy_partition(view)
+    sub_part = view.conjugacy_classes()
     ctx = table.ctx
     u = rep_unipotent(lam)
     exact2 = exact2_positions(lam)

@@ -3,8 +3,10 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +29,19 @@ from mckaylab.bijection import (
     run_grid,
     verify_vs_oracle,
 )
-from mckaylab.exactfield import ell_val, spp
+from mckaylab.exactfield import build_field, ell_val, spp
 from mckaylab.charparams import degree
 from mckaylab.localside import local_degree, local_order, torus_data
-from mckaylab.matrixoracle import build_group, normalizer
+from mckaylab.matrixoracle import (
+    OracleError,
+    build_group,
+    conj_transpose,
+    form_matrix,
+    identity_matrix,
+    mat_mul,
+    mat_rank,
+    normalizer,
+)
 
 REPORT_KEYS = {"cell", "degenerate", "counts", "checks", "witnesses", "ms",
                "status"}
@@ -106,24 +117,65 @@ def test_oracle_skips_large_groups():
     assert frag["ok"] is None
 
 
+def _check_torus(G, ell, order):
+    torus = explicit_torus(G, ell)
+    assert torus.order == order
+    assert all(G.mul(g, h) == G.mul(h, g)
+               for g in torus.elements for h in torus.generators)
+    assert torus_data(G.n, G.sp, ell).Q % torus.exponent() == 0
+    assert normalizer(G, torus).order == local_order(G.n, G.sp, ell)
+
+
 def test_explicit_torus_orders():
     cases = [
-        ("GL", 2, 3, 2, 8),    # companion block of a primitive quadratic
-        ("GU", 2, 2, 3, 9),    # full norm-one torus
-        ("GU", 2, 5, 2, 24),   # cyclic of order q^2 - 1
-        ("GL", 2, 4, 3, 9),    # diagonal units over a non-prime field
-        ("GU", 2, 4, 3, 15),   # cyclic of order q^2 - 1
-        ("GU", 3, 2, 3, 27),   # full norm-one torus
-        ("GU", 2, 7, 3, 48),   # cyclic of order q^2 - 1
+        ("GL", 2, 3, 2, 8, 25000),      # d0 = 2: one cyclic block of order 8
+        ("GU", 2, 2, 3, 9, 25000),      # d0 = 1: two norm-one blocks
+        ("GU", 2, 5, 2, 24, 25000),     # cyclic of order q^2 - 1
+        ("GL", 2, 4, 3, 9, 25000),      # diagonal units over a non-prime field
+        ("GU", 2, 4, 3, 15, 25000),     # cyclic of order q^2 - 1
+        ("GU", 3, 2, 3, 27, 25000),     # d0 = 1: three norm-one blocks
+        ("GU", 2, 7, 3, 48, 25000),     # cyclic of order q^2 - 1
+        ("GU", 4, 2, 3, 81, 77760),     # C_3^4: no regular element of G
     ]
-    for kind, n, q, ell, order in cases:
-        G = build_group(kind, n, q)
-        torus = explicit_torus(G, ell)
-        assert torus.order == order
-        assert all(G.mul(g, h) == G.mul(h, g)
-                   for g in torus.elements for h in torus.generators)
-        assert torus_data(n, G.sp, ell).Q % torus.exponent() == 0
-        assert normalizer(G, torus).order == local_order(n, G.sp, ell)
+    for kind, n, q, ell, order, limit in cases:
+        _check_torus(build_group(kind, n, q, limit), ell, order)
+
+
+@pytest.mark.frontier
+def test_explicit_torus_past_the_oracle_cap():
+    t0 = time.perf_counter()
+    _check_torus(build_group("GU", 4, 2, 77760), 5, 15)      # d0 = n
+    _check_torus(build_group("GU", 3, 4, 312000), 3, 15)     # m = 1
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0, f"past-cap tori took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_unit_basis_makes_the_unitary_form_scalar(q):
+    sp = spp(-1, q)
+    F = build_field(sp.p, 2 * sp.m)
+    for n in range(1, 5):
+        G = SimpleNamespace(n=n, sp=sp, F=F, v0=form_matrix(n, F),
+                            identity=identity_matrix(n))
+        P = bijection._unit_basis(G)
+        assert mat_rank(P, F) == n
+        gram = mat_mul(mat_mul(conj_transpose(P, F, q), G.v0, F), P, F)
+        s = gram[0][0]
+        assert gram == tuple(tuple(s if i == j else 0 for j in range(n))
+                             for i in range(n)), (n, q)
+        # h = v0 when v0 is Hermitian; otherwise h = delta.v0 with
+        # conj(delta) = -delta, and P^* v0 P = delta^-1.I
+        if conj_transpose(G.v0, F, q) == G.v0:
+            assert s == 1, (n, q)
+        else:
+            assert F.pow(s, q) == F.neg(s) != s, (n, q)
+
+
+def test_explicit_torus_rejects_a_wrong_basis(monkeypatch):
+    G = build_group("GU", 3, 2)
+    monkeypatch.setattr(bijection, "_unit_basis", lambda G: G.identity)
+    with pytest.raises(OracleError, match="not commuting elements of G"):
+        explicit_torus(G, 3)
 
 
 def test_run_grid_collects_cell_errors(monkeypatch):

@@ -12,9 +12,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from sympy import isprime, primefactors
 
-from mckaylab import cli, gggr
+from mckaylab import bijection, cli, gggr
+from mckaylab.bijection import explicit_torus
 from mckaylab.cli import main
 from mckaylab.exactfield import _MR_BOUND, CertificateError
+from mckaylab.matrixoracle import GROUP_SIZE_LIMIT, OracleError
 
 
 def run(*args):
@@ -216,19 +218,34 @@ def test_verify_rejects_invalid_grid_rows(tmp_path):
         assert run("verify", "--grid", str(grid)).exit_code == 2, row
 
 
-def test_verify_workers_report_cell_errors_like_one_worker(tmp_path):
-    # GL(3,4) passes the order cap of 200000 but not build_group's limit of
-    # 25000, so its oracle raises OracleError inside check_cell.
+def test_verify_workers_report_cell_errors_like_one_worker(tmp_path,
+                                                          monkeypatch):
+    # The unitary cell's torus raises OracleError inside check_cell; forked
+    # workers inherit the patch.
+    def torus(G, ell):
+        if G.kind == "GU":
+            raise OracleError("no torus")
+        return explicit_torus(G, ell)
+
+    monkeypatch.setattr(bijection, "explicit_torus", torus)
     grid = tmp_path / "cells.json"
-    grid.write_text(json.dumps([[3, 1, 4, 3], [2, 1, 3, 2]]))
-    args = ("verify", "--grid", str(grid), "--limit", "200000",
-            "--format", "json")
+    grid.write_text(json.dumps([[2, -1, 2, 3], [2, 1, 3, 2]]))
+    args = ("verify", "--grid", str(grid), "--format", "json")
     one = run(*args, "--workers", "1")
     two = run(*args, "--workers", "2")
     assert one.exit_code == two.exit_code == 1
     assert one.output == two.output
-    statuses = [r["status"] for r in json.loads(one.output)]
-    assert statuses == ["ok", "error"]
+    reports = json.loads(one.output)
+    assert [r["status"] for r in reports] == ["error", "ok"]
+    assert reports[0]["witnesses"] == [{"check": "error", "error": "no torus"}]
+
+
+def test_verify_rejects_limits_past_the_oracle_cap():
+    for limit in ("-1", "0", str(GROUP_SIZE_LIMIT + 1), "400000"):
+        res = run("verify", "--n", "3", "--q", "4", "--ell", "3",
+                  "--limit", limit)
+        assert res.exit_code == 2, limit
+        assert "--limit" in res.output, limit
 
 
 def test_oracle_rejects_empty_rank():
