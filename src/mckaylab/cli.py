@@ -29,7 +29,7 @@ from .bijection import (
     run_grid,
 )
 from .exactfield import CertificateError, isprime, spp
-from .matrixoracle import GROUP_SIZE_LIMIT, OracleError, build_group
+from .matrixoracle import GROUP_SIZE_LIMIT, build_group
 from .partitions import partitions
 
 
@@ -268,7 +268,7 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
             for lam in lams:
                 try:
                     _, g = gggr.check_gamma_conjugacy(lam, q)
-                except OracleError as exc:
+                except ValueError as exc:
                     raise click.UsageError(str(exc))
                 except CertificateError as exc:
                     failed = True
@@ -284,7 +284,7 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
                 try:
                     pairs = gggr.check_homomorphism(lam, q)
                     evals = gggr.check_equivariance(lam, q)
-                except OracleError as exc:
+                except ValueError as exc:
                     raise click.UsageError(str(exc))
                 except AssertionError as exc:
                     failed = True
@@ -298,7 +298,7 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
         else:
             try:
                 res = gggr.check_multiplicity_one(n, q)
-            except OracleError as exc:
+            except ValueError as exc:
                 raise click.UsageError(str(exc))
             payload["all_covered"] = res["all_covered"]
             payload["regular_multfree"] = res["regular_multfree"]

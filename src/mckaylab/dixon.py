@@ -371,21 +371,23 @@ def _root_of_unity_mod(N: int, r: int) -> int:
     raise CertificateError("no element of the required order mod r")
 
 
-def _class_matrices(view, part):
+def _class_matrices(view, part, inv_class):
     """Class-sum matrices: entry [i][j][k] counts x in class i with x^-1.z_k
     in class j, for the representative z_k of class k.
 
-    Each element is inverted once; each representative gets one
-    right-multiplication map, applied to every inverse.
+    x runs over class i exactly when y = x^-1 runs over its inverse class
+    i* = inv_class[i], so no element is inverted: each representative gets
+    one right-multiplication map, applied to the members of every class.
     """
     n = part.count
     class_map = part.class_map
-    inverses = [(i, view.inv(x)) for i in range(n) for x in part.members[i]]
     mats = [[[0] * n for _ in range(n)] for _ in range(n)]
     for k, z in enumerate(part.reps):
         times_z = view.right(z)
-        for i, xi in inverses:
-            mats[i][class_map[times_z(xi)]][k] += 1
+        for i in range(n):
+            mat = mats[i]
+            for y in part.members[inv_class[i]]:
+                mat[class_map[times_z(y)]][k] += 1
     return mats
 
 
@@ -412,7 +414,8 @@ def _build_table(view) -> CharacterTable:
     ctx = CycContext(N)
     r = _find_prime(N, order, n_classes)
 
-    spaces = _split_common_eigenspaces(_class_matrices(view, part), r)
+    inv_class = tuple(part.class_map[view.inv(g)] for g in part.reps)
+    spaces = _split_common_eigenspaces(_class_matrices(view, part, inv_class), r)
     if len(spaces) != n_classes:
         raise CertificateError("fewer common eigenspaces than classes")
 
@@ -421,7 +424,6 @@ def _build_table(view) -> CharacterTable:
         inv0 = pow(v[0] % r, -1, r)
         omegas.append(tuple(x * inv0 % r for x in v))
 
-    inv_class = tuple(part.class_map[view.inv(g)] for g in part.reps)
     size_inv = tuple(pow(s, -1, r) for s in part.sizes)
 
     chars_mod, degrees = [], []
@@ -503,9 +505,9 @@ def inner(f: ClassFunction, g: ClassFunction) -> int:
     return q
 
 
-def induce(sub_cf: ClassFunction, amb_view, amb_part=None) -> ClassFunction:
+def induce(sub_cf: ClassFunction, amb_view) -> ClassFunction:
     """Induction to an ambient group containing the subgroup elementwise."""
-    amb_part = amb_part if amb_part is not None else amb_view.conjugacy_classes()
+    amb_part = amb_view.conjugacy_classes()
     ctx = sub_cf.ctx
     sub_order = sum(sub_cf.part.sizes)
     acc = [ctx.zero] * amb_part.count

@@ -292,7 +292,6 @@ def gggr_multiplicities(n: int, q: int, lam: tuple) -> tuple:
     and the division are exact or they raise.
     """
     G, table = oracle_table("GL", n, q)
-    part = G.conjugacy_classes()
     F = G.F
     els = u2_elements(lam, F)
     view = subgroup_view(G, els)
@@ -306,7 +305,7 @@ def gggr_multiplicities(n: int, q: int, lam: tuple) -> tuple:
         for rep in sub_part.reps
     )
     psi = dixon.ClassFunction(view=view, part=sub_part, ctx=ctx, values=values)
-    ind = dixon.induce(psi, G, part)
+    ind = dixon.induce(psi, G)
     e1 = e1_count(lam)
     if e1 % 2 or ind.degree != G.order // len(els):
         raise CertificateError(f"odd e_1 or wrong induced degree at {lam}, q={q}")

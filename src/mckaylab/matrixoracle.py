@@ -442,14 +442,6 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
     v0 = form_matrix(n, F)
     mul = lambda a, b: mat_mul(a, b, F)
     right = lambda b: right_mul(b, F)
-    inverses: dict = {}
-
-    def inv(a: Matrix) -> Matrix:
-        out = inverses.get(a)
-        if out is None:
-            out = inverses[a] = mat_inv(a, F)
-            inverses[out] = a
-        return out
 
     def member(g: Matrix) -> bool:
         if unitary and mul(mul(conj_transpose(g, F, q), v0), g) != v0:
@@ -467,7 +459,7 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
         generators=gens,
         identity=identity_matrix(n),
         mul=mul,
-        inv=inv,
+        inv=lambda a: mat_inv(a, F),
         right=right,
         left=lambda b: left_mul(b, F),
         kind=kind,
@@ -569,31 +561,20 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
 
 
 def sylow_subgroup(view: GroupView, ell: int) -> GroupView:
-    """Deterministic Sylow ell-subgroup by normalizer climbing."""
+    """Deterministic Sylow ell-subgroup by normalizer climbing.
+
+    Each step adds to P the first ell-element y of N(P) outside P.  As y
+    normalizes P, P<y> = P.<y> is an ell-group, so the climb ends at order
+    |view|_ell; OracleError is raised if a step gives anything else.
+    """
     target, _ = ell_part(view.order, ell)
-    if target == 1:
-        return subgroup_view(view, [view.identity], generators=())
     current = subgroup_view(view, [view.identity], generators=())
     while current.order < target:
-        norm = normalizer(view, current)
-        grown = False
-        cur_set = set(current.elements)
-        for y in norm.elements:
-            if y in cur_set:
-                continue
-            o = view.element_order(y)
-            if ell_part(o, ell)[1] != 1:
-                continue
-            try:
-                cand = closure(
-                    tuple(current.generators) + (y,), view.right, view.identity, limit=target
-                )
-            except OracleError:
-                continue
-            if ell_part(len(cand), ell)[0] == len(cand):
-                current = subgroup_view(view, cand, tuple(current.generators) + (y,))
-                grown = True
-                break
-        if not grown:
-            raise OracleError("Sylow climbing stalled")  # pragma: no cover
+        members = set(current.elements)
+        y = next(y for y in normalizer(view, current).elements
+                 if y not in members and ell_part(view.element_order(y), ell)[1] == 1)
+        current = subgroup_closure(view, current.generators + (y,))
+        if ell_part(current.order, ell)[1] != 1:
+            raise OracleError(f"a Sylow step gave order {current.order}, "
+                              f"not a power of {ell}")
     return current

@@ -365,16 +365,25 @@ def test_oracle_check_cell_computes_each_local_degree_once(monkeypatch):
     assert local_degrees and len(set(local_degrees)) == len(local_degrees)
 
 
-def test_oracle_builds_each_table_and_inverse_once(monkeypatch):
+def test_oracle_builds_each_table_once(monkeypatch):
     """ell = 5 does not divide |GL_2(3)| = 48, so the Sylow and torus
-    normalizers are all of G and share its one table and its inverses."""
+    normalizers are all of G and share its one table."""
     build_group.cache_clear()
     bijection.oracle_table.cache_clear()
     tables = _count_calls(monkeypatch, dixon._build_table)
-    inversions = _count_calls(monkeypatch, matrixoracle.mat_inv)
     assert verify_vs_oracle(Cell(2, 1, 3, 5))["ok"] is True
     assert len(tables) == 1
-    assert len(inversions) <= build_group("GL", 2, 3).order
+
+
+def test_character_table_inverts_no_element_beyond_generators_and_classes(monkeypatch):
+    """The class matrices read inverse classes, so a fresh view of GL_2(3)
+    inverts its generators (for the conjugacy classes) and its class
+    representatives, not its 48 elements."""
+    build_group.cache_clear()
+    G = build_group("GL", 2, 3)
+    inversions = _count_calls(monkeypatch, matrixoracle.mat_inv)
+    dixon.character_table(G)
+    assert len(inversions) <= G.conjugacy_classes().count + len(G.generators)
 
 
 def test_certificates_run_under_optimize():
@@ -418,10 +427,15 @@ def test_certificates_run_under_optimize():
         "    mo.normalizer(G, P)\n"
         "except mo.OracleError:\n"
         "    print('raised')\n"
+        "mo.subgroup_closure = lambda parent, gens: parent   # not a 3-group\n"
+        "try:\n"
+        "    mo.sylow_subgroup(G, 3)\n"
+        "except mo.OracleError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["ok"] + ["raised"] * 5
+    assert out.stdout.split() == ["ok"] + ["raised"] * 6

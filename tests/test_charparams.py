@@ -86,6 +86,18 @@ def test_tensor_action_properties():
                 == (central_char(chi, sp) + 2 * z) % m1
 
 
+@pytest.mark.parametrize("n,eps,q", [
+    (n, eps, q) for n in (1, 2, 3) for eps in (1, -1) for q in (2, 3, 4, 5)])
+def test_tensor_translation_is_an_action(n, eps, q):
+    sp = spp(eps, q)
+    m1 = abs(sp.q - sp.eps)
+    for chi in enumerate_irr(n, sp):
+        moved = [zhat_act(chi, sp, a) for a in range(m1)]
+        for a in range(m1):
+            for b in range(m1):
+                assert zhat_act(moved[a], sp, b) == moved[(a + b) % m1]
+
+
 def test_sl_descent_counts_match_oracle():
     assert count_irr_sl(2, spp(1, 3)) == 7
     assert count_irr_sl(3, spp(1, 2)) == 6

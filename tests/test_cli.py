@@ -265,6 +265,9 @@ def test_gggr_group_checks_reject_invalid_groups():
         res = run("gggr", "--check", check, "--n", "2", "--q", "6")
         assert res.exit_code == 2, check
         assert "not a prime power" in res.output
+        res = run("gggr", "--check", check, "--n", "2", "--q", "1048583")
+        assert res.exit_code == 2, check
+        assert "exceeds limit" in res.output
         assert run("gggr", "--check", check, "--n", "0",
                    "--q", "2").exit_code == 2, check
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mckaylab import matrixoracle
-from mckaylab.exactfield import build_field, prime_factors
+from mckaylab.exactfield import build_field, ell_part, prime_factors
 from mckaylab.matrixoracle import (
     OracleError,
     build_group,
@@ -34,6 +34,11 @@ KNOWN = {
     ("GL", 2, 2): (6, 3),
     ("GL", 2, 5): (480, 24),
 }
+
+# the groups of the benchmark's oracle cells
+ORACLE_GROUPS = [("GL", 2, 2), ("GL", 2, 3), ("GL", 2, 4), ("GL", 2, 5),
+                 ("GL", 3, 2), ("GU", 2, 2), ("GU", 2, 3)]
+NORMALIZER_GROUPS = ORACLE_GROUPS + [("SL", 2, 3), ("SL", 2, 5)]
 
 
 @pytest.mark.parametrize("key", sorted(KNOWN))
@@ -90,6 +95,22 @@ def test_sylow_subgroups_and_normalizers():
     P7 = sylow_subgroup(H, 7)
     assert P7.order == 7
     assert normalizer(H, P7).order == 21
+
+
+@pytest.mark.parametrize("key", ORACLE_GROUPS, ids="{0[0]}({0[1]},{0[2]})".format)
+def test_sylow_subgroups_are_ell_groups_of_full_order(key):
+    G = build_group(*key)
+    for ell in prime_factors(G.order):
+        P = sylow_subgroup(G, ell)
+        assert P.order == ell_part(G.order, ell)[0]
+        assert all(ell_part(G.element_order(g), ell)[1] == 1 for g in P.elements)
+
+
+def test_sylow_subgroup_rejects_a_step_that_is_not_an_ell_group(monkeypatch):
+    G = build_group("GL", 2, 3)
+    monkeypatch.setattr(matrixoracle, "subgroup_closure", lambda parent, gens: parent)
+    with pytest.raises(OracleError, match="not a power of 2"):
+        sylow_subgroup(G, 2)
 
 
 def test_sylow_at_prime_not_dividing_is_trivial():
@@ -165,12 +186,6 @@ def reference_normalizer(view, sub):
     return subgroup_view(view, [
         g for g in view.elements
         if all(view.mul(view.mul(g, s), view.inv(g)) in sub_set for s in gens)])
-
-
-# the groups of the benchmark's oracle cells, plus SL(2,3) and SL(2,5)
-NORMALIZER_GROUPS = [("GL", 2, 2), ("GL", 2, 3), ("GL", 2, 4), ("GL", 2, 5),
-                     ("GL", 3, 2), ("GU", 2, 2), ("GU", 2, 3),
-                     ("SL", 2, 3), ("SL", 2, 5)]
 
 
 @pytest.mark.parametrize("key", NORMALIZER_GROUPS, ids="{0[0]}({0[1]},{0[2]})".format)
