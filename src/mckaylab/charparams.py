@@ -18,6 +18,7 @@ from functools import cache
 from itertools import product as iproduct
 
 from .exactfield import (
+    CertificateError,
     SignedPrimePower,
     ell_val,
     factor_field,
@@ -29,7 +30,6 @@ from .ssclasses import (
     SSClass,
     canonical_label,
     centralizer_order,
-    component_group,
     eigen_modulus,
     enumerate_ss_classes,
     norm_exponent,
@@ -91,15 +91,15 @@ class LabelTable:
     """Label-level facts of every irreducible character on one side.
 
     Entry i describes chars[i]: its degree, central character, translation
-    stabilizer order, and translates[i][z], the position of its z-th
-    translate for z in Z/M_1.  The same type serves G and the local N.
+    stabilizer order, and shift[i], the position of its translate by 1 in
+    Z/M_1 (by z: shift applied z times).  The same type serves G and N.
     """
 
     chars: tuple
     index: dict
     degrees: tuple
     centrals: tuple
-    translates: tuple
+    shift: tuple
     stabs: tuple
 
     def relevant(self, ell: int) -> tuple:
@@ -118,18 +118,31 @@ class LabelTable:
         return tuple(i for i, d in enumerate(self.degrees) if ell_val(d, ell) == 0)
 
 
-def label_table(chars: tuple, degree, central, translate, m1: int) -> LabelTable:
-    """Tabulate degree(c), central(c) and translate(c, z) for z in Z/m1."""
+def label_table(chars: tuple, degree, central, shift, m1: int) -> LabelTable:
+    """Tabulate degree(c), central(c) and shift(c), the translate of c by 1.
+
+    Z/m1 is cyclic, so a character's orbit is its cycle under shift and its
+    stabilizer order is m1 over the cycle length.  Raises CertificateError
+    unless shift^m1 is the identity, which also makes shift a permutation.
+    """
     index = {c: i for i, c in enumerate(chars)}
-    translates = tuple(tuple(index[translate(c, z)] for z in range(m1))
-                       for c in chars)
+    step = tuple(index[shift(c)] for c in chars)
+    stabs = []
+    for i in range(len(chars)):
+        j, cycle = step[i], 1
+        while j != i and cycle <= m1:
+            j, cycle = step[j], cycle + 1
+        if m1 % cycle:
+            raise CertificateError(f"character {i} does not return to itself "
+                                   f"after {m1} translates by 1")
+        stabs.append(m1 // cycle)
     return LabelTable(
         chars=chars,
         index=index,
         degrees=tuple(degree(c) for c in chars),
         centrals=tuple(central(c) for c in chars),
-        translates=translates,
-        stabs=tuple(row.count(i) for i, row in enumerate(translates)),
+        shift=step,
+        stabs=tuple(stabs),
     )
 
 
@@ -138,7 +151,7 @@ def group_table(n: int, sp: SignedPrimePower) -> LabelTable:
     """The table of Irr(GL_n(eps q)), built once for the life of the process."""
     return label_table(enumerate_irr(n, sp), lambda chi: degree(chi, n, sp),
                        lambda chi: central_char(chi, sp),
-                       lambda chi, z: zhat_act(chi, sp, z), eigen_modulus(1, sp))
+                       lambda chi: zhat_act(chi, sp, 1), eigen_modulus(1, sp))
 
 
 def is_ellprime(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> bool:
@@ -183,17 +196,10 @@ def global_relevant(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> 
 def count_irr_sl(n: int, sp: SignedPrimePower) -> int:
     """Number of irreducible characters of the det-one subgroup.
 
-    Each translation orbit of size o contributes M_1/o constituents.
+    Each translation orbit of size o contributes s = M_1/o constituents,
+    which is s^2/M_1 from each of its o members.
     """
-    seen: set = set()
-    total = 0
-    for i, row in enumerate(group_table(n, sp).translates):
-        if i in seen:
-            continue
-        orbit = set(row)
-        seen.update(orbit)
-        total += len(row) // len(orbit)
-    return total
+    return sum(s * s for s in group_table(n, sp).stabs) // eigen_modulus(1, sp)
 
 
 def count_jordan_params(n: int, sp: SignedPrimePower) -> int:
@@ -201,19 +207,19 @@ def count_jordan_params(n: int, sp: SignedPrimePower) -> int:
 
     For each translation orbit of semisimple classes and each orbit of
     A(s) on the attached multipartitions, the packet contributes the
-    order of the stabilizer of the multipartition in A(s).
+    order of the stabilizer of the multipartition in A(s), the subgroup
+    of Z/M_1 of order M_1 / |orbit(s)|: the multiples of |orbit(s)|.
     """
-    table = group_table(n, sp)
+    m1 = eigen_modulus(1, sp)
     total = 0
     for orbit in pgl_ss_classes(n, sp):
-        s = orbit[0]
-        a = component_group(s, sp)
+        a = range(0, m1, len(orbit))
         seen: set = set()
-        for parts in iproduct(*(partitions(m) for _, m in s.factors)):
-            i = table.index[GlobalChar(s, parts)]
-            if i in seen:
+        for parts in iproduct(*(partitions(m) for _, m in orbit[0].factors)):
+            chi = GlobalChar(orbit[0], parts)
+            if chi in seen:
                 continue
-            sub_orbit = {table.translates[i][z] for z in a}
+            sub_orbit = {zhat_act(chi, sp, z) for z in a}
             seen.update(sub_orbit)
             total += len(a) // len(sub_orbit)
     return total

@@ -32,6 +32,7 @@ from .charparams import (
     group_table,
     index_order,
     label_table,
+    zhat_act,
 )
 from .exactfield import (
     CertificateError,
@@ -195,8 +196,7 @@ def local_zhat_act(
     the wreath labels ride along unchanged.
     """
     td = torus_data(n, sp, ell)
-    table = group_table(td.m, sp)
-    chi_m = table.chars[table.translates[table.index[psi.chi_m]][z % td.m1]]
+    chi_m = zhat_act(psi.chi_m, sp, z)
     delta = td.sigma * z * (td.Q // td.m1)
     moved = [
         ((canonical_theta(rep + delta, n, sp, ell), mult), eta)
@@ -232,7 +232,7 @@ def local_table(n: int, sp: SignedPrimePower, ell: int) -> LabelTable:
     return label_table(enumerate_local_irr(n, sp, ell),
                        lambda psi: local_degree(psi, n, sp, ell),
                        lambda psi: local_central_label(psi, n, sp, ell),
-                       lambda psi, z: local_zhat_act(psi, n, sp, ell, z),
+                       lambda psi: local_zhat_act(psi, n, sp, ell, 1),
                        torus_data(n, sp, ell).m1)
 
 

@@ -515,29 +515,30 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
 
     The conjugates of sub under the generators of view are enumerated,
     keyed by their sorted elements, each conjugate T = t.sub.t^-1 with its
-    transversal element t.  The normalizer has order |view| / |orbit| and
-    is closed greedily from the Schreier generators t'^-1.g.t, one for each
-    generator g and conjugate T whose image g.T.g^-1 = t'.sub.t'^-1 was
-    reached before.  OracleError is raised unless that closure has exactly
-    this order and every kept generator conjugates each generator of sub
-    into sub.  The element conjugations are kept for the call, since
-    conjugates share most of their elements.
+    transversal element t and t^-1 (t' = g.t has t'^-1 = t^-1.g^-1).  The
+    normalizer has order |view| / |orbit| and is closed greedily from the
+    Schreier generators t'^-1.g.t, one for each generator g and conjugate T
+    whose image g.T.g^-1 = t'.sub.t'^-1 was reached before.  OracleError is
+    raised unless that closure has exactly this order and every kept
+    generator conjugates each generator of sub into sub.  Element
+    conjugations are kept for the call; conjugates share most elements.
     """
     gens = view.generators or view.elements
     steps = []
     for g in gens:
         g_times, times_gi = view.left(g), view.right(view.inv(g))
-        steps.append((g, g_times, _Images(lambda x, a=g_times, b=times_gi: a(b(x)))))
-    transversal = {sub.elements: view.identity}
+        steps.append((g, g_times, times_gi,
+                      _Images(lambda x, a=g_times, b=times_gi: a(b(x)))))
+    transversal = {sub.elements: (view.identity, view.identity)}
     edges = []
     frontier = [sub.elements]
     while frontier:
         conj = frontier.pop()
-        t = transversal[conj]
-        for g, g_times, conjugate in steps:
+        t, t_inv = transversal[conj]
+        for g, g_times, times_gi, conjugate in steps:
             image = tuple(sorted(map(conjugate.__getitem__, conj)))
             if image not in transversal:
-                transversal[image] = g_times(t)
+                transversal[image] = (g_times(t), times_gi(t_inv))
                 frontier.append(image)
             else:
                 edges.append((image, g, t))
@@ -548,14 +549,15 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
         raise OracleError(f"orbit of {len(transversal)} conjugates does not "
                           f"divide |G| = {view.order}")
     mul, inv = view.mul, view.inv
-    schreier = (mul(inv(transversal[image]), mul(g, t)) for image, g, t in edges)
+    schreier = (mul(transversal[image][1], mul(g, t)) for image, g, t in edges)
     kept, elements = find_generators(schreier, view.right, view.identity, order)
     sub_set = set(sub.elements)
     if len(elements) != order:
         raise OracleError(f"Schreier closure has {len(elements)} elements, "
                           f"expected |G| / |orbit| = {order}")
-    if not all(mul(mul(n, s), inv(n)) in sub_set
-               for n in kept for s in sub.generators or sub.elements):
+    if not all(mul(mul(n, s), n_inv) in sub_set
+               for n, n_inv in zip(kept, map(inv, kept))
+               for s in sub.generators or sub.elements):
         raise OracleError("a Schreier generator does not normalize the subgroup")
     return subgroup_view(view, elements, kept)
 

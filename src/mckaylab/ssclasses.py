@@ -142,16 +142,6 @@ def zhat_translate(cls: SSClass, sp: SignedPrimePower, z: int) -> SSClass:
     return SSClass(tuple(sorted(new)))
 
 
-def component_group(cls: SSClass, sp: SignedPrimePower) -> tuple:
-    """Central translations fixing the class, a subgroup of Z/M_1.
-
-    This is the component group of the centralizer image in the adjoint
-    quotient; its order divides gcd(rank, M_1).
-    """
-    m1 = eigen_modulus(1, sp)
-    return tuple(z for z in range(m1) if zhat_translate(cls, sp, z) == cls)
-
-
 @cache
 def pgl_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
     """Orbits of the central translation action on semisimple classes.

@@ -240,10 +240,8 @@ def _wrong_image(data):
 def _wrong_translate(data):
     i, j = data.pairs[0]
     image = dict(data.pairs)
-    wrong = next(k for k, jk in image.items()
-                 if jk != data.local.translates[j][1])
-    row = _set(data.group.translates[i], 1, wrong)
-    group = replace(data.group, translates=_set(data.group.translates, i, row))
+    wrong = next(k for k, jk in image.items() if jk != data.local.shift[j])
+    group = replace(data.group, shift=_set(data.group.shift, i, wrong))
     return replace(data, group=group)
 
 
@@ -255,8 +253,8 @@ def _wrong_local(data, field, j, value):
 
 def _wrong_local_translate(data):
     _, j = data.pairs[0]
-    row = data.local.translates[j]
-    return _wrong_local(data, "translates", j, _set(row, 1, row[2]))
+    shift = data.local.shift
+    return _wrong_local(data, "shift", j, shift[shift[j]])
 
 
 def _wrong_degree(data):
@@ -391,7 +389,7 @@ def test_certificates_run_under_optimize():
         "from mckaylab.bijection import Cell, check_cell\n"
         "from mckaylab.exactfield import CertificateError, spp\n"
         "from mckaylab.localside import LocalChar, wreath_index\n"
-        "from mckaylab.charparams import enumerate_irr\n"
+        "from mckaylab.charparams import enumerate_irr, label_table\n"
         "from mckaylab.dixon import CycContext\n"
         "print(check_cell(Cell(2, 1, 3, 2), with_oracle=False)['status'])\n"
         "bad = LocalChar(enumerate_irr(0, spp(1, 3))[0], ((1, 3),), (((1,),),))\n"
@@ -403,6 +401,10 @@ def test_certificates_run_under_optimize():
         "gggr.psi_exponent = lambda F, exact2, u, g: 1   # not additive\n"
         "try:\n"
         "    gggr.check_homomorphism((2,), 3)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+        "try:\n"
+        "    label_table(('a', 'b'), len, len, lambda c: 'a', 2)\n"
         "except CertificateError:\n"
         "    print('raised')\n"
         "ctx = CycContext(12)\n"
@@ -438,4 +440,4 @@ def test_certificates_run_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["ok"] + ["raised"] * 6
+    assert out.stdout.split() == ["ok"] + ["raised"] * 7

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from mckaylab import dixon
-from mckaylab.exactfield import ell_val, group_order, spp
+from mckaylab.exactfield import CertificateError, ell_val, group_order, spp
 from mckaylab.matrixoracle import build_group
 from mckaylab.charparams import (
     GlobalChar,
@@ -20,10 +20,12 @@ from mckaylab.charparams import (
     global_relevant,
     index_order,
     is_ellprime,
+    label_table,
     to_params,
     zhat_act,
 )
-from mckaylab.ssclasses import SSClass, component_group, eigen_modulus
+from mckaylab.ssclasses import SSClass, eigen_modulus
+from test_ssclasses import component_group
 
 ORACLE_CASES = [
     ("GL", 2, 3), ("GL", 2, 2), ("GL", 3, 2), ("GU", 2, 2), ("GL", 2, 5),
@@ -96,6 +98,19 @@ def test_tensor_translation_is_an_action(n, eps, q):
         for a in range(m1):
             for b in range(m1):
                 assert zhat_act(moved[a], sp, b) == moved[(a + b) % m1]
+
+
+@pytest.mark.parametrize("images,m1", [
+    ("aa", 2),     # both characters translate to the first: not a permutation
+    ("ba", 3),     # a 2-cycle, but 2 does not divide M_1 = 3
+    ("bca", 2),    # a 3-cycle, longer than M_1 = 2
+])
+def test_label_table_rejects_a_shift_whose_m1_th_power_is_not_the_identity(
+        images, m1):
+    chars = "abc"[:len(images)]
+    shift = dict(zip(chars, images)).__getitem__
+    with pytest.raises(CertificateError):
+        label_table(tuple(chars), len, len, shift, m1)
 
 
 def test_sl_descent_counts_match_oracle():

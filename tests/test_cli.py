@@ -64,6 +64,20 @@ def test_verify_grid_file(tmp_path):
     assert len(res.output.strip().splitlines()) == 2
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_verify_json_report_is_byte_identical_to_the_golden_file():
+    """golden_cells.json: both signs, M_1 = 1, 2, 3, 4, 5, 6, 7, 8, the
+    oracle on the four cells with |G| <= 750, and nontrivial A(s) on GL(2,3),
+    GU(2,3), GL(3,7) and GU(2,7).  Any change to a verdict, count or key
+    shows here."""
+    res = run("verify", "--grid", str(DATA / "golden_cells.json"),
+              "--format", "json")
+    assert res.exit_code == 0
+    assert res.stdout_bytes == (DATA / "golden_report.json").read_bytes()
+
+
 def test_verify_bad_grid_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

@@ -94,20 +94,34 @@ def test_degenerate_cell_reduces_to_global_side():
     assert degs == want
 
 
-def test_local_translation_is_an_action_matching_central_labels():
-    n, sp, ell = 2, spp(1, 3), 2
+def _local_action_failures(n, eps, q, ell) -> list:
+    sp = spp(eps, q)
     m1 = abs(sp.q - sp.eps)
+    bad = []
     for psi in enumerate_local_irr(n, sp, ell):
-        assert local_zhat_act(psi, n, sp, ell, 0) == psi
+        deg = local_degree(psi, n, sp, ell)
         nu = local_central_label(psi, n, sp, ell)
+        moved = [local_zhat_act(psi, n, sp, ell, z) for z in range(m1)]
+        if moved[0] != psi:
+            bad.append((psi, 0))
         for z in range(m1):
-            moved = local_zhat_act(psi, n, sp, ell, z)
-            assert local_degree(moved, n, sp, ell) \
-                == local_degree(psi, n, sp, ell)
-            assert local_central_label(moved, n, sp, ell) == (nu + n * z) % m1
-            for z2 in range(m1):
-                assert local_zhat_act(moved, n, sp, ell, z2) \
-                    == local_zhat_act(psi, n, sp, ell, (z + z2) % m1)
+            if (local_degree(moved[z], n, sp, ell) != deg
+                    or local_central_label(moved[z], n, sp, ell) != (nu + n * z) % m1
+                    or any(local_zhat_act(moved[z], n, sp, ell, z2)
+                           != moved[(z + z2) % m1] for z2 in range(m1))):
+                bad.append((psi, z))
+    return bad
+
+
+def test_local_translation_is_an_action_matching_central_labels():
+    """local_table keeps only the translate by 1 and derives the others as
+    its powers, which is sound exactly because this is an action."""
+    cells = [(n, eps, q, ell) for n in (1, 2, 3) for eps in (1, -1)
+             for q in (2, 3, 4, 5) for ell in (2, 3, 5, 7) if q % ell]
+    assert len(cells) == 72
+    failures = {cell: bad for cell in cells
+                if (bad := _local_action_failures(*cell))}
+    assert failures == {}
 
 
 def test_transport_on_rank_two_cell():

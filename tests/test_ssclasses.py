@@ -1,12 +1,14 @@
 """Semisimple class labels: orbits of eigenvalue data and central translation."""
 
+import pytest
+
 from mckaylab.exactfield import spp
 from mckaylab.matrixoracle import build_group
 from mckaylab.ssclasses import (
     SSClass,
     canonical_label,
     centralizer_order,
-    component_group,
+    eigen_modulus,
     enumerate_ss_classes,
     labels_of_degree,
     norm_exponent,
@@ -17,6 +19,18 @@ from mckaylab.ssclasses import (
 SP_GL3 = spp(1, 3)
 SP_GL2F2 = spp(1, 2)
 SP_GU2 = spp(-1, 2)
+
+
+def component_group(cls: SSClass, sp) -> tuple:
+    """Central translations fixing the class, a subgroup of Z/M_1, by
+    direct search.
+
+    This is the component group of the centralizer image in the adjoint
+    quotient; its order divides gcd(rank, M_1).  The package takes it as
+    the multiples of the orbit length instead; this is the reference.
+    """
+    m1 = eigen_modulus(1, sp)
+    return tuple(z for z in range(m1) if zhat_translate(cls, sp, z) == cls)
 
 
 def identity_class(n: int) -> SSClass:
@@ -96,6 +110,16 @@ def test_component_group_orders():
     mixed = [c for c in enumerate_ss_classes(2, SP_GL3)
              if len(c.factors) == 2][0]
     assert len(component_group(mixed, SP_GL3)) == 2
+
+
+@pytest.mark.parametrize("n,eps,q", [
+    (n, eps, q) for n in (1, 2, 3, 4) for eps in (1, -1) for q in (2, 3, 4, 5)])
+def test_component_group_is_the_multiples_of_the_orbit_length(n, eps, q):
+    sp = spp(eps, q)
+    m1 = eigen_modulus(1, sp)
+    for orbit in pgl_ss_classes(n, sp):
+        for cls in orbit:
+            assert component_group(cls, sp) == tuple(range(0, m1, len(orbit)))
 
 
 def test_pgl_class_counts():
