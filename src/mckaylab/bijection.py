@@ -36,6 +36,7 @@ from .exactfield import (
 from .charparams import (
     GlobalChar,
     LabelTable,
+    char_type,
     count_ellprime,
     count_irr_sl,
     count_jordan_params,
@@ -54,6 +55,7 @@ from .localside import (
     torus_data,
     transport,
 )
+from .ssclasses import centralizer_type
 from . import dixon
 from .matrixoracle import (
     OracleError,
@@ -237,7 +239,7 @@ def check_in_congruence(data: CellData, note) -> bool:
 def _jordan_ellprime(chi: GlobalChar, deg: int, n: int, sp: SignedPrimePower,
                      ell: int) -> bool:
     """ell-prime test via the Jordan factorization deg = index_{p'} * unipotent."""
-    idx = index_order(chi.cls, n, sp)
+    idx = index_order(centralizer_type(chi.cls), n, sp)
     unip = deg // ell_part(idx, sp.p)[1]
     return ell_val(idx, ell) == 0 and ell_val(unip, ell) == 0
 
@@ -247,17 +249,25 @@ def check_ellprime(data: CellData, note) -> tuple[bool, int, int]:
     and the direct global count agrees with enumerate_ellprime_params, which
     builds the ell-prime characters from cores and quotients without degrees.
 
-    Returns the verdict and the ell-prime counts of the global and local
-    sides.
+    The structural test reads a character only through its type, so it runs
+    once per type; the Jordan test once per type and table degree, so a
+    wrong degree still gets its own evaluation; the direct test reads every
+    character's own degree.  Returns the verdict and the ell-prime counts of
+    the global and local sides.
     """
     cell, g = data.cell, data.group
     n, sp, ell = cell.n, cell.sp, cell.ell
     ok = True
     prime = set(g.ellprime(ell))
+    structural, jordan = {}, {}   # by type, and by (type, table degree)
     for i, (chi, deg) in enumerate(zip(g.chars, g.degrees)):
+        t = char_type(chi)
+        if t not in structural:
+            structural[t] = ellprime_structural(chi, n, sp, ell)
+        if (t, deg) not in jordan:
+            jordan[t, deg] = _jordan_ellprime(chi, deg, n, sp, ell)
         direct = i in prime
-        if (direct != ellprime_structural(chi, n, sp, ell)
-                or direct != _jordan_ellprime(chi, deg, n, sp, ell)):
+        if direct != structural[t] or direct != jordan[t, deg]:
             ok = False
             note("ellprime_equiv", side="global", global_char=to_params(chi))
     lprime = set(data.local.ellprime(ell))
@@ -341,10 +351,10 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
         note("mckay", global_count=n_ellprime_global,
              local_count=n_ellprime_local)
 
-    jordan_eq = count_irr_sl(n, sp) == count_jordan_params(n, sp)
+    irr_sl, jordan = count_irr_sl(n, sp), count_jordan_params(n, sp)
+    jordan_eq = irr_sl == jordan
     if not jordan_eq:
-        note("jordan_eq", irr_sl=count_irr_sl(n, sp),
-             jordan=count_jordan_params(n, sp))
+        note("jordan_eq", irr_sl=irr_sl, jordan=jordan)
 
     sum_squares = check_sum_squares(data, note)
 

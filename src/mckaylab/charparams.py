@@ -30,6 +30,7 @@ from .ssclasses import (
     SSClass,
     canonical_label,
     centralizer_order,
+    centralizer_type,
     eigen_modulus,
     enumerate_ss_classes,
     norm_exponent,
@@ -55,13 +56,22 @@ def enumerate_irr(n: int, sp: SignedPrimePower) -> tuple:
     return tuple(out)
 
 
+def char_type(chi: GlobalChar) -> tuple:
+    """The type of chi: its (orbit degree, multiplicity, partition) triples,
+    sorted.  The degree, the centralizer index and the ell-prime tests read
+    chi only through its type (J. A. Green, Trans. AMS 80, 1955)."""
+    return tuple(sorted((k, m, lam) for ((k, _), m), lam
+                        in zip(chi.cls.factors, chi.parts)))
+
+
 @cache
-def index_order(cls: SSClass, n: int, sp: SignedPrimePower) -> int:
-    return group_order(n, sp) // centralizer_order(cls, sp)
+def index_order(ctype: tuple, n: int, sp: SignedPrimePower) -> int:
+    """|G : C_G(s)| for the semisimple classes s of centralizer type ctype."""
+    return group_order(n, sp) // centralizer_order(ctype, sp)
 
 
 def degree(chi: GlobalChar, n: int, sp: SignedPrimePower) -> int:
-    idx = index_order(chi.cls, n, sp)
+    idx = index_order(centralizer_type(chi.cls), n, sp)
     while idx % sp.p == 0:
         idx //= sp.p
     for ((k, _), _), lam in zip(chi.cls.factors, chi.parts):
@@ -148,8 +158,21 @@ def label_table(chars: tuple, degree, central, shift, m1: int) -> LabelTable:
 
 @cache
 def group_table(n: int, sp: SignedPrimePower) -> LabelTable:
-    """The table of Irr(GL_n(eps q)), built once for the life of the process."""
-    return label_table(enumerate_irr(n, sp), lambda chi: degree(chi, n, sp),
+    """The table of Irr(GL_n(eps q)), built once for the life of the process.
+
+    degree runs on the first character of each type and its value is
+    repeated over the type; the per-type values are dropped with the build.
+    """
+    by_type: dict = {}
+
+    def type_degree(chi: GlobalChar) -> int:
+        t = char_type(chi)
+        deg = by_type.get(t)
+        if deg is None:
+            deg = by_type[t] = degree(chi, n, sp)
+        return deg
+
+    return label_table(enumerate_irr(n, sp), type_degree,
                        lambda chi: central_char(chi, sp),
                        lambda chi: zhat_act(chi, sp, 1), eigen_modulus(1, sp))
 
@@ -183,7 +206,7 @@ def ellprime_structural(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int)
     the quotient's wreath degree is prime to ell, so no big integers
     need to be formed.
     """
-    return (ell_val(index_order(chi.cls, n, sp), ell) == 0
+    return (ell_val(index_order(centralizer_type(chi.cls), n, sp), ell) == 0
             and _factors_ellprime(chi, sp, ell))
 
 
@@ -202,8 +225,9 @@ def count_irr_sl(n: int, sp: SignedPrimePower) -> int:
     return sum(s * s for s in group_table(n, sp).stabs) // eigen_modulus(1, sp)
 
 
+@cache
 def count_jordan_params(n: int, sp: SignedPrimePower) -> int:
-    """Same count organized by adjoint semisimple classes.
+    """Same count organized by adjoint semisimple classes, once per group.
 
     For each translation orbit of semisimple classes and each orbit of
     A(s) on the attached multipartitions, the packet contributes the

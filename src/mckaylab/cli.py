@@ -151,7 +151,10 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
         except ValueError as exc:
             raise click.UsageError(str(exc))
 
+    if not cells:
+        raise click.UsageError("the grid names no cell")
     cells = sorted(cells)
+    workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_cell, cells, repeat(limit),

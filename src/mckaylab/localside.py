@@ -48,7 +48,13 @@ from .partitions import (
     wreath_degree,
     wreath_labels,
 )
-from .ssclasses import SSClass, eigen_modulus, enumerate_ss_classes, eq_orbits
+from .ssclasses import (
+    SSClass,
+    centralizer_type,
+    eigen_modulus,
+    enumerate_ss_classes,
+    eq_orbits,
+)
 
 
 class TransportError(ValueError):
@@ -300,23 +306,30 @@ def enumerate_ellprime_params(n: int, sp: SignedPrimePower, ell: int) -> tuple:
     Walks semisimple classes with ell-prime centralizer index and, per
     factor, the partitions assembled from a small core and an ell-prime
     wreath label; returns (class, cores, quotients) triples.  The count
-    must agree with filtering all characters by degree valuation.
+    must agree with filtering all characters by degree valuation.  The
+    index test and the factor pools depend only on the centralizer type and
+    on (k, multiplicity), so each is formed once per call.
     """
+    prime_index: dict = {}
+    pools: dict = {}
     out = []
     for cls in enumerate_ss_classes(n, sp):
-        if ell_val(index_order(cls, n, sp), ell) != 0:
+        ctype = centralizer_type(cls)
+        if ctype not in prime_index:
+            prime_index[ctype] = ell_val(index_order(ctype, n, sp), ell) == 0
+        if not prime_index[ctype]:
             continue
-        pools = []
         for (k, _), mult in cls.factors:
-            e = order_for_ell(factor_field(k, sp).eq, ell)
-            cores = partitions(mult % e)
-            quots = [
-                lab
-                for lab in wreath_labels(e, mult // e)
-                if ell_val(wreath_degree(lab), ell) == 0
-            ]
-            pools.append([(c, qu) for c in cores for qu in quots])
-        for combo in iproduct(*pools):
+            if (k, mult) not in pools:
+                e = order_for_ell(factor_field(k, sp).eq, ell)
+                quots = [
+                    lab
+                    for lab in wreath_labels(e, mult // e)
+                    if ell_val(wreath_degree(lab), ell) == 0
+                ]
+                pools[k, mult] = [(c, qu) for c in partitions(mult % e)
+                                  for qu in quots]
+        for combo in iproduct(*(pools[k, mult] for (k, _), mult in cls.factors)):
             out.append(
                 (cls, tuple(c for c, _ in combo), tuple(qu for _, qu in combo))
             )

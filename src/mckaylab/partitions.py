@@ -73,12 +73,14 @@ def _partition_from_beta(beta: tuple[int, ...]) -> Partition:
     return tuple(p for p in parts if p > 0)
 
 
+@cache
 def e_core_quotient(lam: Partition, e: int) -> tuple[Partition, WreathLabel, int]:
     """(e-core, e-quotient, weight) of lam.
 
     Uses a beta-set whose length is a multiple of e (the convention that
     makes the quotient independent of padding).  |core| + e*w = |lam| and the
-    quotient's component sizes sum to w.
+    quotient's component sizes sum to w.  Memoised, so each distinct
+    (lam, e) is split and certified once.
     """
     if e < 1:
         raise ValueError("e must be >= 1")
@@ -139,6 +141,7 @@ def wreath_labels(e: int, w: int) -> tuple[WreathLabel, ...]:
     return tuple(gen(e, w))
 
 
+@cache
 def wreath_degree(label: WreathLabel) -> int:
     """Degree of the C_e wr S_w irreducible with the given label:
     multinomial over component sizes times product of S_k dimensions."""

@@ -99,20 +99,22 @@ def enumerate_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
     return tuple(sorted(out))
 
 
-def centralizer_factors(cls: SSClass, sp: SignedPrimePower) -> tuple:
-    """The (multiplicity, signed field) pairs of the centralizer's factors.
+def centralizer_type(cls: SSClass) -> tuple:
+    """The sorted (orbit degree, multiplicity) pairs of the class.
 
     The centralizer of a semisimple element with a degree-k eigenvalue
     orbit of multiplicity m contributes a rank-m general linear or
-    unitary group over the degree-k extension, with sign eps^k.
+    unitary group over the degree-k extension, with sign eps^k; so these
+    pairs fix the centralizer up to isomorphism.
     """
-    return tuple((m, factor_field(k, sp)) for (k, _), m in cls.factors)
+    return tuple(sorted((k, m) for (k, _), m in cls.factors))
 
 
-def centralizer_order(cls: SSClass, sp: SignedPrimePower) -> int:
+def centralizer_order(ctype: tuple, sp: SignedPrimePower) -> int:
+    """Order of the centralizer of centralizer type ctype."""
     out = 1
-    for m, sub_sp in centralizer_factors(cls, sp):
-        out *= group_order(m, sub_sp)
+    for k, m in ctype:
+        out *= group_order(m, factor_field(k, sp))
     return out
 
 
@@ -142,7 +144,6 @@ def zhat_translate(cls: SSClass, sp: SignedPrimePower, z: int) -> SSClass:
     return SSClass(tuple(sorted(new)))
 
 
-@cache
 def pgl_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
     """Orbits of the central translation action on semisimple classes.
 

@@ -11,7 +11,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mckaylab import bijection, charparams, dixon, localside, matrixoracle
+from mckaylab import (
+    bijection,
+    charparams,
+    dixon,
+    localside,
+    matrixoracle,
+    ssclasses,
+)
 from mckaylab.bijection import (
     Cell,
     all_ok,
@@ -29,8 +36,23 @@ from mckaylab.bijection import (
     run_grid,
     verify_vs_oracle,
 )
-from mckaylab.exactfield import build_field, ell_val, spp
-from mckaylab.charparams import degree
+from mckaylab.exactfield import (
+    build_field,
+    ell_val,
+    factor_field,
+    group_order,
+    spp,
+)
+from mckaylab.charparams import (
+    char_type,
+    degree,
+    ellprime_structural,
+    enumerate_irr,
+    group_table,
+    index_order,
+    to_params,
+)
+from mckaylab.ssclasses import centralizer_type
 from mckaylab.localside import local_degree, local_order, torus_data
 from mckaylab.matrixoracle import (
     OracleError,
@@ -306,6 +328,62 @@ def test_checks_fail_on_one_wrong_table_entry(corrupt, check):
     assert witnesses
 
 
+def test_ellprime_equiv_fails_on_a_wrong_degree_past_the_first_of_its_type():
+    # The structural test runs once per type and the Jordan test once per
+    # (type, table degree): a wrong degree on a character whose type was met
+    # before still fails against them and is named in the witness.
+    cell = Cell(3, 1, 5, 3)
+    data = cell_data(cell)
+    seen, i = set(), None
+    for k, (chi, deg) in enumerate(zip(data.group.chars, data.group.degrees)):
+        t = char_type(chi)
+        if t in seen and ell_val(deg, cell.ell) == 0:
+            i = k
+            break
+        seen.add(t)
+    assert i is not None
+    group = replace(data.group, degrees=_set(
+        data.group.degrees, i, data.group.degrees[i] * cell.ell))
+    witnesses = []
+    ok, _, _ = check_ellprime(replace(data, group=group),
+                              lambda kind, **payload: witnesses.append(
+                                  (kind, payload)))
+    assert ok is False
+    assert ("ellprime_equiv", {"side": "global",
+                               "global_char": to_params(data.group.chars[i])}) \
+        in witnesses
+
+
+TYPE_GROUPS = [(n, eps, q) for n in (1, 2, 3) for eps in (1, -1)
+               for q in (2, 3, 4, 5)] + [(4, 1, 3)]
+
+
+@pytest.mark.parametrize("n,eps,q", TYPE_GROUPS)
+def test_type_level_columns_equal_the_per_character_routines(n, eps, q):
+    """The table degree (degree on the first character of the type), the
+    index memoised by centralizer type, and the ell-prime tests that
+    check_ellprime evaluates once per type and once per (type, degree)
+    equal the routines evaluated on every character itself."""
+    sp = spp(eps, q)
+    table = group_table(n, sp)
+    first = {}
+    for chi, deg in zip(table.chars, table.degrees):
+        rep = first.setdefault(char_type(chi), chi)
+        assert deg == degree(chi, n, sp)
+        centralizer = 1
+        for (k, _), m in chi.cls.factors:
+            centralizer *= group_order(m, factor_field(k, sp))
+        assert index_order(centralizer_type(chi.cls), n, sp) \
+            == group_order(n, sp) // centralizer
+        for ell in (2, 3, 5, 7):
+            if ell == sp.p:
+                continue
+            assert ellprime_structural(rep, n, sp, ell) \
+                == ellprime_structural(chi, n, sp, ell)
+            assert bijection._jordan_ellprime(rep, deg, n, sp, ell) \
+                == bijection._jordan_ellprime(chi, deg, n, sp, ell)
+
+
 def test_ellprime_count_does_not_read_the_degree_table(monkeypatch):
     # One ell-prime degree made divisible by ell, in the cell's table and in
     # the memoised one: a count read off the same table would agree with it.
@@ -346,13 +424,30 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_check_cell_computes_each_degree_and_transport_once(monkeypatch):
+    """degree runs exactly once per type of each group built: GL_3(5) and
+    the GL_1(5) factor of the local side."""
     charparams.group_table.cache_clear()
     degrees = _count_calls(monkeypatch, charparams.degree)
     transports = _count_calls(monkeypatch, localside.transport)
-    rep = check_cell(Cell(3, 1, 5, 3), with_oracle=False)
+    cell = Cell(3, 1, 5, 3)
+    rep = check_cell(cell, with_oracle=False)
     assert rep["status"] == "ok"
-    assert degrees and len(set(degrees)) == len(degrees)
+    ranks = {n for _, n, _ in degrees}
+    assert ranks == {cell.n, torus_data(cell.n, cell.sp, cell.ell).m}
+    types = {(n, char_type(chi)) for n in ranks
+             for chi in enumerate_irr(n, cell.sp)}
+    assert sorted((n, char_type(chi)) for chi, n, _ in degrees) \
+        == sorted(types)
     assert len(set(transports)) == len(transports) == rep["counts"]["global"]
+
+
+def test_jordan_count_runs_once_per_group(monkeypatch):
+    charparams.count_jordan_params.cache_clear()
+    walks = _count_calls(monkeypatch, ssclasses.pgl_ss_classes)
+    for ell in (2, 3):
+        assert check_cell(Cell(2, 1, 5, ell), with_oracle=False)["checks"][
+            "jordan_eq"] is True
+    assert len(walks) == 1
 
 
 def test_oracle_check_cell_computes_each_local_degree_once(monkeypatch):

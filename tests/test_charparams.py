@@ -24,7 +24,7 @@ from mckaylab.charparams import (
     to_params,
     zhat_act,
 )
-from mckaylab.ssclasses import SSClass, eigen_modulus
+from mckaylab.ssclasses import SSClass, centralizer_type, eigen_modulus
 from test_ssclasses import component_group
 
 ORACLE_CASES = [
@@ -146,7 +146,8 @@ def sl_relevant(chi: GlobalChar, n: int, sp, ell: int) -> bool:
     parameter.  An independent route to global_relevant.
     """
     a = component_group(chi.cls, sp)
-    if (ell_val(index_order(chi.cls, n, sp), ell) != ell_val(len(a), ell)
+    index = index_order(centralizer_type(chi.cls), n, sp)
+    if (ell_val(index, ell) != ell_val(len(a), ell)
             or not _factors_ellprime(chi, sp, ell)):
         return False
     m1 = eigen_modulus(1, sp)

@@ -254,6 +254,50 @@ def test_verify_workers_report_cell_errors_like_one_worker(tmp_path,
     assert reports[0]["witnesses"] == [{"check": "error", "error": "no torus"}]
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and runs nothing."""
+
+    def __init__(self, made: list, max_workers: int):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return []
+
+
+def _record_pools(monkeypatch) -> list:
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(made, max_workers))
+    return made
+
+
+def test_verify_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    made = _record_pools(monkeypatch)
+    grid = tmp_path / "cells.json"
+    grid.write_text(json.dumps([[2, 1, 3, 2], [2, -1, 2, 3]]))
+    run("verify", "--grid", str(grid), "--no-oracle", "--workers", "64")
+    assert made == [2]
+
+
+def test_verify_empty_grid_is_a_usage_error_before_any_pool(tmp_path,
+                                                            monkeypatch):
+    made = _record_pools(monkeypatch)
+    grid = tmp_path / "cells.json"
+    grid.write_text("[]")
+    for workers in ("1", "4"):
+        res = run("verify", "--grid", str(grid), "--workers", workers)
+        assert res.exit_code == 2
+        assert "the grid names no cell" in res.output
+    assert made == []
+
+
 def test_verify_rejects_limits_past_the_oracle_cap():
     for limit in ("-1", "0", str(GROUP_SIZE_LIMIT + 1), "400000"):
         res = run("verify", "--n", "3", "--q", "4", "--ell", "3",

@@ -8,6 +8,7 @@ from mckaylab.ssclasses import (
     SSClass,
     canonical_label,
     centralizer_order,
+    centralizer_type,
     eigen_modulus,
     enumerate_ss_classes,
     labels_of_degree,
@@ -72,7 +73,7 @@ def test_canonical_label_picks_orbit_minimum():
 def test_identity_class_is_central_with_full_centralizer():
     cls = identity_class(2)
     assert is_central(cls)
-    assert centralizer_order(cls, SP_GL3) == 48
+    assert centralizer_order(centralizer_type(cls), SP_GL3) == 48
     assert norm_exponent(cls, SP_GL3) == 0
 
 
@@ -132,7 +133,7 @@ def test_centralizer_orders_divide_group_order():
     for sp, n in [(SP_GL3, 2), (SP_GL2F2, 3), (SP_GU2, 2)]:
         total = group_order(n, sp)
         for cls in enumerate_ss_classes(n, sp):
-            assert total % centralizer_order(cls, sp) == 0
+            assert total % centralizer_order(centralizer_type(cls), sp) == 0
 
 
 def test_enumeration_has_no_recursion_depth_limit():
