@@ -208,9 +208,9 @@ class FiniteField:
     their usual names.
 
     Up to _TABLE_LIMIT elements, every operation is a read of a table built
-    at construction: add_table[a][b], neg_table[a], mul_table[a][b] and
-    inv_table[a].  Past the limit the tables are None and each operation is
-    computed on the base-p digits.
+    at construction: add_table[a][b], neg_table[a], mul_table[a][b],
+    inv_table[a] and frob_table[a] = a^p.  Past the limit the tables are
+    None and each operation is computed on the base-p digits.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -222,6 +222,7 @@ class FiniteField:
         self.neg_table: list[int] | None = None
         self.mul_table: list[tuple[int, ...]] | None = None
         self.inv_table: list[int] | None = None
+        self.frob_table: list[int] | None = None
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -318,6 +319,8 @@ class FiniteField:
 
     def frobenius(self, a: int) -> int:
         """The p-power map, a field automorphism of order k."""
+        if self.frob_table is not None:
+            return self.frob_table[a]
         return self.pow(a, self.p)
 
     def _build_tables(self) -> None:
@@ -349,6 +352,7 @@ class FiniteField:
         self.mul_table = [(0,) * n] + [
             (0,) + tuple(exp[log[a] + e] for e in unit_logs) for a in range(1, n)]
         self.inv_table = [0] + [powers[-log[a]] for a in range(1, n)]
+        self.frob_table = [self.pow(a, p) for a in range(n)]
 
     # structure -----------------------------------------------------------
 

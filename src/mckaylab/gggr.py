@@ -14,9 +14,9 @@ come out of integer divisions that assert their own exactness.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import chain, product
+from operator import mul
 
 from .exactfield import CertificateError, build_field, spp
 from .partitions import partitions
@@ -25,6 +25,7 @@ from . import dixon
 from .bijection import oracle_table
 from .matrixoracle import (
     OracleError,
+    _row_kernel,
     build_group,
     form_matrix,
     frobenius_twist,
@@ -33,7 +34,6 @@ from .matrixoracle import (
     identity_matrix,
     mat_mul,
     mat_rank,
-    right_mul,
     subgroup_view,
 )
 
@@ -55,26 +55,35 @@ def weight_multiset(lam: tuple) -> tuple:
     return tuple(items)
 
 
-def weight_counts(lam: tuple) -> Counter:
-    """Multiplicity of each basis weight."""
-    return Counter(h for size in lam for h in range(1 - size, size, 2))
+def weight_counts(lam: tuple) -> list:
+    """Multiplicity of each basis weight h, at index h + n - 1.
+
+    The weights of a partition of n lie in 1-n .. n-1, so the list has
+    2n - 1 entries and weight 0 sits in the middle.
+    """
+    n = sum(lam)
+    counts = [0] * (2 * n - 1)
+    for size in lam:
+        for i in range(n - size, n + size - 1, 2):
+            counts[i] += 1
+    return counts
 
 
-def level_count(counts: Counter, level: int) -> int:
+def level_count(counts: list, level: int) -> int:
     """Number of matrix positions of the given weight level."""
-    return sum(c * counts.get(v + level, 0) for v, c in counts.items())
+    return sum(map(mul, counts, counts[level:]))
 
 
 def e1_count(lam: tuple) -> int:
     return level_count(weight_counts(lam), 1)
 
 
-def parity_ok(counts: Counter) -> bool:
+def parity_ok(counts: list) -> bool:
     return level_count(counts, 1) % 2 == 0
 
 
-def symmetry_ok(counts: Counter) -> bool:
-    return counts == Counter({-v: c for v, c in counts.items()})
+def symmetry_ok(counts: list) -> bool:
+    return counts == counts[::-1]
 
 
 def sweep_parity_symmetry(nmax: int) -> int:
@@ -158,10 +167,16 @@ def field_trace(F, x: int) -> int:
     acc, y = 0, x
     for _ in range(F.k):
         acc = F.add(acc, y)
-        y = F.pow(y, F.p)
+        y = F.frobenius(y)
     if acc >= F.p:
         raise CertificateError("trace left the prime subfield")
     return acc
+
+
+@cache
+def _traces(F) -> tuple:
+    """field_trace of every element of F, indexed by the element."""
+    return tuple(field_trace(F, x) for x in range(F.size))
 
 
 def psi_exponent(F, exact2: tuple, u_mat, g) -> int:
@@ -170,25 +185,48 @@ def psi_exponent(F, exact2: tuple, u_mat, g) -> int:
     for i, j in exact2:
         c = u_mat[i][j]
         if c:
-            s = (s + field_trace(F, F.mul(g[i][j], c))) % F.p
+            s += _traces(F)[F.mul(g[i][j], c)]
     return (-s) % F.p
 
 
 def u2_elements(lam: tuple, F) -> tuple:
-    """Every I + X with X supported on the level >= 2 positions.
+    """Every I + X with X supported on the level >= 2 positions, in the
+    lexicographic order of the entries at u2_positions(lam).
 
     This set is already a group: products only spill into higher levels.
+    The positions run row by row, so the set is the product of its rows'
+    sets, and elements with an equal row share that row's tuple.
     """
     pos = u2_positions(lam)
     n = sum(lam)
     if F.size ** len(pos) > U2_SIZE_LIMIT:
         raise OracleError("U_2 too large to enumerate")
+    row_sets = []
+    for i in range(n):
+        cols = [j for a, j in pos if a == i]
+        row_set = []
+        for vals in product(range(F.size), repeat=len(cols)):
+            row = [int(i == j) for j in range(n)]
+            for j, v in zip(cols, vals):
+                row[j] = v
+            row_set.append(tuple(row))
+        row_sets.append(row_set)
+    return tuple(product(*row_sets))
+
+
+def u2_generators(lam: tuple, F) -> tuple:
+    """I + p^t E_ij for every level >= 2 position (i, j) and t < k.
+
+    The p^t encode the powers of the field generator, a basis of GF(q) over
+    GF(p), so these elements generate U_2.
+    """
+    n = sum(lam)
     out = []
-    for vals in product(range(F.size), repeat=len(pos)):
-        m = [[int(i == j) for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(pos, vals):
-            m[i][j] = v
-        out.append(tuple(tuple(row) for row in m))
+    for (i, j) in u2_positions(lam):
+        for t in range(F.k):
+            m = [[int(a == b) for b in range(n)] for a in range(n)]
+            m[i][j] = F.p**t
+            out.append(tuple(tuple(row) for row in m))
     return tuple(out)
 
 
@@ -207,40 +245,65 @@ def check_homomorphism(lam: tuple, q: int,
                        pair_limit: int = HOM_EXHAUSTIVE_LIMIT) -> int:
     """psi_u is multiplicative on U_2^F; returns the number of pairs checked.
 
-    All pairs when |U_2| <= pair_limit; otherwise every element against a
-    one-position generating set, which certifies the identity by induction
-    on word length.
+    The partners h are all of U_2 when |U_2| <= pair_limit, and otherwise
+    the one-position generators of u2_generators.  A breadth-first walk
+    from the identity checks g.h for every partner h at every element g it
+    reaches, and every element must be reached: so the partners generate
+    U_2, and the identity holds on all of U_2 by induction on word length.
+    A product outside U_2 also fails the certificate.
+
+    Elements are handled as tuples of row ids.  Row i of g.h depends only
+    on row i of g, so each partner maps every distinct row once, and a
+    product is the tuple of its rows' images.
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
     els = u2_elements(lam, F)
     u = rep_unipotent(lam)
     exact2 = exact2_positions(lam)
-    exps = {g: psi_exponent(F, exact2, u, g) for g in els}
-    if len(els) <= pair_limit:
-        partners = els
-    else:
-        n = sum(lam)
-        partners = []
-        for (i, j) in u2_positions(lam):
-            for t in range(F.k):
-                m = [[int(a == b) for b in range(n)] for a in range(n)]
-                m[i][j] = F.p**t
-                partners.append(tuple(tuple(row) for row in m))
-    checked = 0
+    rows = list(dict.fromkeys(chain.from_iterable(els)))
+    row_id = {row: k for k, row in enumerate(rows)}
+    ids = [tuple(map(row_id.__getitem__, g)) for g in els]
+    index = {g: k for k, g in enumerate(ids)}
+    exps = [psi_exponent(F, exact2, u, g) for g in els]
+    partners = els if len(els) <= pair_limit else u2_generators(lam, F)
+    images = []
     for h in partners:
-        times_h = right_mul(h, F)
-        for g in els:
-            if exps[times_h(g)] != (exps[g] + exps[h]) % F.p:
+        k = index.get(tuple(row_id.get(row, -1) for row in h))
+        if k is None:
+            raise CertificateError(f"a partner lies outside U_2 at {lam}, q={q}")
+        kernel = _row_kernel(h, F)
+        image = [row_id.get(kernel(row), -1) for row in rows]
+        images.append((image.__getitem__, exps[k]))
+    p = F.p
+    start = index[tuple(row_id[row] for row in identity_matrix(sum(lam)))]
+    seen, layer = {start}, [start]
+    while layer:
+        # the layer's row ids by row position, and its psi exponents
+        columns = list(zip(*map(ids.__getitem__, layer)))
+        layer_exps = list(map(exps.__getitem__, layer))
+        fresh = set()
+        for image, e_h in images:
+            # g.h for every g in the layer, as an index into els
+            prods = list(map(index.get, zip(*[map(image, col) for col in columns])))
+            if None in prods:
+                raise CertificateError(f"a product leaves U_2 at {lam}, q={q}")
+            if (list(map(exps.__getitem__, prods))
+                    != [(e + e_h) % p for e in layer_exps]):
                 raise CertificateError(f"psi_u not multiplicative at {lam}, q={q}")
-            checked += 1
-    return checked
+            fresh.update(prods)
+        layer = list(fresh - seen)
+        seen.update(layer)
+    if len(seen) != len(els):
+        raise CertificateError(f"the partners do not generate U_2 at {lam}, q={q}")
+    return len(seen) * len(partners)
 
 
 def check_equivariance(lam: tuple, q: int) -> int:
     """psi_u(g) = psi_{sigma(u)}(sigma(g)) for the field and graph twists.
 
-    Returns the number of (sigma, g) evaluations certified.
+    Each twisted element must lie in U_2 again.  Returns the number of
+    (sigma, g) evaluations certified.
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
@@ -249,6 +312,7 @@ def check_equivariance(lam: tuple, q: int) -> int:
     els = u2_elements(lam, F)
     u = rep_unipotent(lam)
     exact2 = exact2_positions(lam)
+    exps = {g: psi_exponent(F, exact2, u, g) for g in els}
     twists = [
         (lambda g: frobenius_twist(g, F)),
         (lambda g: gamma_twist(g, F, v0)),
@@ -256,10 +320,11 @@ def check_equivariance(lam: tuple, q: int) -> int:
     checked = 0
     for twist in twists:
         tu = twist(u)
-        for g in els:
-            lhs = psi_exponent(F, exact2, u, g)
-            rhs = psi_exponent(F, exact2, tu, twist(g))
-            if lhs != rhs:
+        for g, e in exps.items():
+            tg = twist(g)
+            if tg not in exps:
+                raise CertificateError(f"a twist leaves U_2 at {lam}, q={q}")
+            if psi_exponent(F, exact2, tu, tg) != e:
                 raise CertificateError(f"equivariance fails at {lam}, q={q}")
             checked += 1
     return checked

@@ -129,31 +129,57 @@ def _gauss_jordan(rows: list, ncols: int, F: FiniteField) -> tuple[int, int]:
     """Gauss-Jordan reduction of rows in place, pivoting on the first ncols.
 
     Returns (rank, det): det is the determinant of the leading square block,
-    0 when that block is singular.
+    0 when that block is singular.  Tabled fields scale and subtract rows by
+    reading the multiplication and addition tables; larger fields use
+    F.mul and F.add.
     """
+    if F.mul_table is not None:
+        add_table, mul_table = F.add_table, F.mul_table
+
+        def scaled(c, row):
+            times_c = mul_table[c]
+            return [times_c[x] for x in row]
+
+        def plus_scaled(row, c, other):
+            times_c = mul_table[c]
+            return [add_table[x][times_c[y]] for x, y in zip(row, other)]
+    else:
+        mul, add = F.mul, F.add
+
+        def scaled(c, row):
+            return [mul(c, x) for x in row]
+
+        def plus_scaled(row, c, other):
+            return [add(x, mul(c, y)) for x, y in zip(row, other)]
+
     rank, det = 0, 1
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
+        for pivot in range(rank, len(rows)):
+            if rows[pivot][col]:
+                break
+        else:
             det = 0
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
             det = F.neg(det)
-        det = F.mul(det, rows[rank][col])
-        inv_p = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv_p, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[r], rows[rank])]
+        lead = rows[rank][col]
+        det = F.mul(det, lead)
+        if lead != 1:
+            rows[rank] = scaled(F.inv(lead), rows[rank])
+        pivot_row = rows[rank]
+        for r, row in enumerate(rows):
+            if row[col] and r != rank:
+                rows[r] = plus_scaled(row, F.neg(row[col]), pivot_row)
         rank += 1
     return rank, det
 
 
 def mat_inv(a: Matrix, F: FiniteField) -> Matrix:
     n = len(a)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    aug = [list(row) + [0] * n for row in a]
+    for i in range(n):
+        aug[i][n + i] = 1
     if _gauss_jordan(aug, n, F)[0] < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in aug)
@@ -476,7 +502,8 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
 
 def frobenius_twist(g: Matrix, F: FiniteField) -> Matrix:
     """Entrywise p-power Frobenius."""
-    return tuple(tuple(F.frobenius(x) for x in row) for row in g)
+    frobenius = F.frobenius
+    return tuple(tuple(map(frobenius, row)) for row in g)
 
 
 def gamma_twist(g: Matrix, F: FiniteField, v0: Matrix) -> Matrix:

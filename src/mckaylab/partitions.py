@@ -20,21 +20,30 @@ WreathLabel = tuple[Partition, ...]
 
 @cache
 def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse lexicographic order; (()) for n = 0."""
+    """All partitions of n in reverse lexicographic order; (()) for n = 0.
+
+    Each partition after (n,) is the successor of the one before: its last
+    part above 1 and the 1s after it are taken off, and their total is put
+    back as copies of that part minus one, with any smaller remainder last.
+    The walk ends at (1,) * n.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ((),)
-
-    def gen(remaining: int, largest: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
+    out, lam = [(n,)], [n]
+    while lam[0] > 1:
+        ones = 0
+        while lam[-1] == 1:
+            lam.pop()
+            ones += 1
+        part = lam.pop() - 1
+        whole, rest = divmod(part + 1 + ones, part)
+        lam.extend([part] * whole)
+        if rest:
+            lam.append(rest)
+        out.append(tuple(lam))
+    return tuple(out)
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -493,6 +493,17 @@ def test_certificates_run_under_optimize():
         "except CertificateError:\n"
         "    print('raised')\n"
         "from mckaylab import gggr\n"
+        "gens = gggr.u2_generators   # without the level-2 position (1, 0)\n"
+        "gggr.u2_generators = lambda lam, F: gens(lam, F)[1:]\n"
+        "try:\n"
+        "    gggr.check_homomorphism((3, 1), 2, pair_limit=0)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+        "gggr.frobenius_twist = lambda g, F: ((g[0][0], 1),) + g[1:]\n"
+        "try:\n"
+        "    gggr.check_equivariance((2,), 3)   # the twist leaves U_2\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
         "gggr.psi_exponent = lambda F, exact2, u, g: 1   # not additive\n"
         "try:\n"
         "    gggr.check_homomorphism((2,), 3)\n"
@@ -535,4 +546,4 @@ def test_certificates_run_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["ok"] + ["raised"] * 7
+    assert out.stdout.split() == ["ok"] + ["raised"] * 9

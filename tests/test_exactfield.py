@@ -238,12 +238,26 @@ def test_add_and_neg_tables_match_digit_arithmetic(p, k):
             assert F._mul_raw(a, F.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 7)])
+def test_frobenius_table_is_the_p_power_map(p, k):
+    F = build_field(p, k)
+    powers = []
+    for a in range(F.size):
+        x = 1
+        for _ in range(p):
+            x = F._mul_raw(x, a)
+        powers.append(x)
+    assert F.frob_table == powers
+    assert [F.frobenius(a) for a in range(F.size)] == F.frob_table
+
+
 @pytest.mark.parametrize("p,k", [(3, 5), (2, 8)])
 def test_field_axioms_without_tables(p, k):
     # GF(243) and GF(256) are past the table limit, so every product
     # reduces modulo the defining polynomial afresh.
     F = build_field(p, k)
     assert F.mul_table is None and F.add_table is None
+    assert F.frob_table is None
     for a in F.units():
         assert F.mul(a, F.inv(a)) == 1
     g = F.multiplicative_generator()

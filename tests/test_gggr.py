@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from mckaylab import gggr
-from mckaylab.exactfield import build_field, spp
+from mckaylab.exactfield import CertificateError, build_field, spp
 from mckaylab.matrixoracle import build_group, gamma_map
 from mckaylab.partitions import partitions
 
@@ -39,11 +39,35 @@ def test_parity_and_symmetry_sweep_small():
 
 
 def test_parity_and_symmetry_reject_bad_weights():
-    assert gggr.weight_counts((3, 1)) == Counter({-2: 1, 0: 2, 2: 1})
-    # one position of level 1: e_1 odd
-    assert not gggr.parity_ok(Counter({0: 1, 1: 1}))
-    assert not gggr.symmetry_ok(Counter({0: 1, 1: 1}))
-    assert gggr.parity_ok(Counter({-1: 1, 1: 1}))
+    # counts are listed by weight -(n-1) .. n-1
+    assert gggr.weight_counts((3, 1)) == [0, 1, 0, 2, 0, 1, 0]
+    # weights 0 and 1 once each: one position of level 1, so e_1 is odd
+    assert not gggr.parity_ok([0, 1, 1])
+    assert not gggr.symmetry_ok([0, 1, 1])
+    assert not gggr.symmetry_ok([1, 1, 0, 2, 1])   # equal ends, unequal inside
+    assert gggr.parity_ok([1, 0, 1])
+
+
+def reference_counts(lam):
+    """Multiplicity of each basis weight, as a Counter."""
+    return Counter(h for size in lam for h in range(1 - size, size, 2))
+
+
+def test_dense_weight_helpers_match_a_counter_reference():
+    for n in range(1, 17):
+        for lam in partitions(n):
+            ref = reference_counts(lam)
+            counts = gggr.weight_counts(lam)
+            assert len(counts) == 2 * n - 1
+            assert counts == [ref[h] for h in range(1 - n, n)]
+            for level in range(2 * n - 1):
+                assert gggr.level_count(counts, level) == sum(
+                    c * ref[h + level] for h, c in ref.items())
+            e1 = sum(c * ref[h + 1] for h, c in ref.items())
+            assert gggr.e1_count(lam) == e1
+            assert gggr.parity_ok(counts) == (e1 % 2 == 0)
+            assert gggr.symmetry_ok(counts) == (
+                ref == Counter({-h: c for h, c in ref.items()}))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -75,11 +99,55 @@ def test_character_is_multiplicative(lam, q):
     assert gggr.check_homomorphism(lam, q) > 0
 
 
+@pytest.mark.parametrize("lam,q", [((2,), 3), ((3, 1), 2), ((2, 2), 2),
+                                   ((3,), 4)])
+def test_generator_walk_counts_every_element_times_every_generator(lam, q):
+    sp = spp(1, q)
+    F = build_field(sp.p, sp.m)
+    n_gens = len(gggr.u2_positions(lam)) * F.k
+    n_els = q ** len(gggr.u2_positions(lam))
+    assert gggr.check_homomorphism(lam, q, pair_limit=0) == n_els * n_gens
+    assert gggr.check_homomorphism(lam, q) == n_els ** 2
+
+
+def test_generator_walk_fails_without_one_position(monkeypatch):
+    # (1, 0) is a level-2 position and no product of the other positions
+    gens = gggr.u2_generators
+    monkeypatch.setattr(gggr, "u2_generators", lambda lam, F: gens(lam, F)[1:])
+    with pytest.raises(CertificateError, match="do not generate"):
+        gggr.check_homomorphism((3, 1), 2, pair_limit=0)
+
+
+def test_homomorphism_fails_on_a_partner_outside_u2(monkeypatch):
+    gens = gggr.u2_generators
+    monkeypatch.setattr(gggr, "u2_generators", lambda lam, F: tuple(
+        tuple(zip(*h)) for h in gens(lam, F)))
+    with pytest.raises(CertificateError, match="partner lies outside"):
+        gggr.check_homomorphism((2,), 3, pair_limit=0)
+
+
+def test_homomorphism_fails_on_a_product_outside_u2(monkeypatch):
+    # reversing each row sends the first row (1, 0) to (0, 1), no row of U_2
+    monkeypatch.setattr(gggr, "_row_kernel", lambda h, F: lambda row: row[::-1])
+    with pytest.raises(CertificateError, match="product leaves"):
+        gggr.check_homomorphism((2,), 3)
+
+
 @pytest.mark.parametrize("lam,q", [
     ((2,), 2), ((2, 1), 2), ((2, 1), 3), ((3,), 2), ((2, 2), 3), ((2,), 4),
 ])
 def test_character_is_twist_equivariant(lam, q):
-    assert gggr.check_equivariance(lam, q) > 0
+    assert gggr.check_equivariance(lam, q) == 2 * q ** len(
+        gggr.u2_positions(lam))
+
+
+def test_equivariance_fails_on_a_twist_that_leaves_u2(monkeypatch):
+    # sets the (0, 1) entry, above the diagonal; psi reads only (1, 0), so
+    # only the membership check sees the difference
+    monkeypatch.setattr(gggr, "frobenius_twist",
+                        lambda g, F: ((g[0][0], 1),) + g[1:])
+    with pytest.raises(CertificateError, match="leaves U_2"):
+        gggr.check_equivariance((2,), 3)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])

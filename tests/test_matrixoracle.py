@@ -1,6 +1,6 @@
 """Brute-force matrix groups: construction, classes, subgroup machinery."""
 
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +18,7 @@ from mckaylab.matrixoracle import (
     mat_det,
     mat_inv,
     mat_mul,
+    mat_rank,
     normalizer,
     right_mul,
     subgroup_closure,
@@ -302,6 +303,80 @@ def test_fixed_factor_multipliers_match_mat_mul(case):
         for a in mats:
             assert times_b(a) == mat_mul(a, b, F) == left_mul(a, F)(b)
             assert b_times(a) == mat_mul(b, a, F)
+
+
+def reference_det(a, F):
+    """The determinant by Laplace expansion along the first row."""
+    if not a:
+        return 1
+    det = 0
+    for j, x in enumerate(a[0]):
+        minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
+        term = F.mul(x, reference_det(minor, F))
+        det = F.add(det, term) if j % 2 == 0 else F.sub(det, term)
+    return det
+
+
+def reference_rank(a, F):
+    """The largest k with a nonzero k x k minor."""
+    n = len(a)
+    for k in range(n, 0, -1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                minor = tuple(tuple(a[i][j] for j in cols) for i in rows)
+                if reference_det(minor, F):
+                    return k
+    return 0
+
+
+def reference_inv(a, F):
+    """The adjugate divided by the determinant."""
+    n, inv_det = len(a), F.inv(reference_det(a, F))
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = tuple(r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j)
+            cofactor = reference_det(minor, F)
+            if (i + j) % 2:
+                cofactor = F.neg(cofactor)
+            row.append(F.mul(inv_det, cofactor))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@st.composite
+def field_and_matrix_of_any_rank(draw, fields):
+    """A square matrix; some of its rows may be sums of multiples of the
+    rows above, so singular matrices of every rank come up."""
+    F = build_field(*draw(st.sampled_from(fields)))
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, F.size - 1)
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.booleans()):
+            row = (0,) * n
+            for above in rows:
+                c = draw(element)
+                row = tuple(F.add(x, F.mul(c, y)) for x, y in zip(row, above))
+        else:
+            row = draw(st.tuples(*[element] * n))
+        rows.append(row)
+    return F, tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_matrix_of_any_rank(KERNEL_FIELDS))
+def test_gauss_jordan_matches_scalar_reference(case):
+    F, a = case
+    det = reference_det(a, F)
+    assert mat_det(a, F) == det
+    assert mat_rank(a, F) == reference_rank(a, F)
+    if det:
+        assert mat_inv(a, F) == reference_inv(a, F)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            mat_inv(a, F)
 
 
 @settings(max_examples=100, deadline=None)

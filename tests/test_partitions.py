@@ -27,6 +27,24 @@ def test_partition_lists_are_sorted_and_complete():
     assert partitions(0) == ((),)
 
 
+def reference_partitions(n):
+    """Partitions of n in reverse lexicographic order, by recursion on the
+    largest part."""
+    def gen(remaining, largest):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, largest), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+    return tuple(gen(n, n))
+
+
+def test_partition_walk_matches_a_recursive_reference():
+    for n in range(21):
+        assert partitions(n) == reference_partitions(n)
+
+
 @given(small_partitions)
 @settings(max_examples=150, deadline=None)
 def test_conjugate_is_an_involution(lam):
