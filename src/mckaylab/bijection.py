@@ -70,6 +70,7 @@ from .matrixoracle import (
 )
 
 ORACLE_ORDER_LIMIT = 750
+MAX_WITNESSES = 3   # failure witnesses kept per cell report
 
 GRID_N = (2, 3, 4)
 GRID_Q = (2, 3, 4, 5, 7)
@@ -314,7 +315,7 @@ def omega_tilde(cell: Cell) -> tuple:
 
 
 def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
-               with_oracle: bool = True, max_witnesses: int = 3) -> dict:
+               with_oracle: bool = True) -> dict:
     """Run every per-cell certificate and return a report dict.
 
     Report schema (stable keys):
@@ -329,7 +330,7 @@ def check_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
     witnesses: list[dict] = []
 
     def note(kind: str, **payload) -> None:
-        if len(witnesses) < max_witnesses:
+        if len(witnesses) < MAX_WITNESSES:
             witnesses.append({"check": kind, **payload})
 
     data = cell_data(cell)

@@ -20,6 +20,7 @@ from itertools import product as iproduct
 from .exactfield import (
     CertificateError,
     SignedPrimePower,
+    ell_part,
     ell_val,
     factor_field,
     group_order,
@@ -71,9 +72,7 @@ def index_order(ctype: tuple, n: int, sp: SignedPrimePower) -> int:
 
 
 def degree(chi: GlobalChar, n: int, sp: SignedPrimePower) -> int:
-    idx = index_order(centralizer_type(chi.cls), n, sp)
-    while idx % sp.p == 0:
-        idx //= sp.p
+    idx = ell_part(index_order(centralizer_type(chi.cls), n, sp), sp.p)[1]
     for ((k, _), _), lam in zip(chi.cls.factors, chi.parts):
         idx *= generic_degree(lam, factor_field(k, sp))
     return idx

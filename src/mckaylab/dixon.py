@@ -391,6 +391,20 @@ def _class_matrices(view, part, inv_class):
     return mats
 
 
+def _power_walks(view, part) -> list:
+    """Per class, the classes of z^0 .. z^(o-1) for its representative z,
+    walked once with right(z): the walk's length is the order o of z and its
+    last entry is the class of z^-1.  Class 0 must be the identity's."""
+    walks = []
+    for z in part.reps:
+        times_z, x, walk = view.right(z), z, [0]
+        while x != view.identity:
+            walk.append(part.class_map[x])
+            x = times_z(x)
+        walks.append(walk)
+    return walks
+
+
 def character_table(view) -> CharacterTable:
     """The full table of irreducible characters, exactly, in canonical order.
 
@@ -410,11 +424,12 @@ def _build_table(view) -> CharacterTable:
     if part.reps[0] != view.identity:
         raise CertificateError("the first class is not the identity")
 
-    N = view.exponent()
+    power_classes = _power_walks(view, part)
+    N = math.lcm(*map(len, power_classes))
     ctx = CycContext(N)
     r = _find_prime(N, order, n_classes)
 
-    inv_class = tuple(part.class_map[view.inv(g)] for g in part.reps)
+    inv_class = tuple(walk[-1] for walk in power_classes)
     spaces = _split_common_eigenspaces(_class_matrices(view, part, inv_class), r)
     if len(spaces) != n_classes:
         raise CertificateError("fewer common eigenspaces than classes")
@@ -445,13 +460,8 @@ def _build_table(view) -> CharacterTable:
     # roots of unity those multiplicities weigh
     w_root = _root_of_unity_mod(N, r)
     lift_data = []
-    for z in part.reps:
-        n_k = view.element_order(z)
-        power_class = []
-        x = view.identity
-        for _ in range(n_k):
-            power_class.append(part.class_map[x])
-            x = view.mul(x, z)
+    for power_class in power_classes:
+        n_k = len(power_class)
         wk, inv_n = pow(w_root, N // n_k, r), pow(n_k, -1, r)
         scaled = [pow(wk, -t, r) * inv_n % r for t in range(n_k)]
         idft = tuple(tuple(scaled[j * t % n_k] for t in range(n_k)) for j in range(n_k))

@@ -27,7 +27,6 @@ from .matrixoracle import (
     OracleError,
     _row_kernel,
     build_group,
-    form_matrix,
     frobenius_twist,
     gamma_map,
     gamma_twist,
@@ -241,14 +240,13 @@ def check_representative(lam: tuple, q: int) -> bool:
     return jordan_type(rep_unipotent(lam), F) == tuple(sorted(lam, reverse=True))
 
 
-def check_homomorphism(lam: tuple, q: int,
-                       pair_limit: int = HOM_EXHAUSTIVE_LIMIT) -> int:
+def check_homomorphism(lam: tuple, q: int) -> int:
     """psi_u is multiplicative on U_2^F; returns the number of pairs checked.
 
-    The partners h are all of U_2 when |U_2| <= pair_limit, and otherwise
-    the one-position generators of u2_generators.  A breadth-first walk
-    from the identity checks g.h for every partner h at every element g it
-    reaches, and every element must be reached: so the partners generate
+    The partners h are all of U_2 when |U_2| <= HOM_EXHAUSTIVE_LIMIT, and
+    otherwise the one-position generators of u2_generators.  A breadth-first
+    walk from the identity checks g.h for every partner h at every element g
+    it reaches, and every element must be reached: so the partners generate
     U_2, and the identity holds on all of U_2 by induction on word length.
     A product outside U_2 also fails the certificate.
 
@@ -266,7 +264,7 @@ def check_homomorphism(lam: tuple, q: int,
     ids = [tuple(map(row_id.__getitem__, g)) for g in els]
     index = {g: k for k, g in enumerate(ids)}
     exps = [psi_exponent(F, exact2, u, g) for g in els]
-    partners = els if len(els) <= pair_limit else u2_generators(lam, F)
+    partners = els if len(els) <= HOM_EXHAUSTIVE_LIMIT else u2_generators(lam, F)
     images = []
     for h in partners:
         k = index.get(tuple(row_id.get(row, -1) for row in h))
@@ -307,15 +305,13 @@ def check_equivariance(lam: tuple, q: int) -> int:
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
-    n = sum(lam)
-    v0 = form_matrix(n, F)
     els = u2_elements(lam, F)
     u = rep_unipotent(lam)
     exact2 = exact2_positions(lam)
     exps = {g: psi_exponent(F, exact2, u, g) for g in els}
     twists = [
         (lambda g: frobenius_twist(g, F)),
-        (lambda g: gamma_twist(g, F, v0)),
+        (lambda g: gamma_twist(g, F)),
     ]
     checked = 0
     for twist in twists:

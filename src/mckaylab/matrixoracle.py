@@ -9,7 +9,6 @@ field-encoded ints, so they hash and sort deterministically.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cache
@@ -258,12 +257,6 @@ class GroupView:
     def element_order(self, g) -> int:
         return element_order(g, self.mul, self.identity)
 
-    def exponent(self) -> int:
-        out = 1
-        for rep in self.conjugacy_classes().reps:
-            out = math.lcm(out, self.element_order(rep))
-        return out
-
 
 @dataclass
 class ConjugacyPartition:
@@ -277,41 +270,41 @@ class ConjugacyPartition:
         return len(self.reps)
 
 
+def _orbit(start, maps, limit: int) -> set:
+    """The orbit of start under the maps, by depth-first walk.
+
+    OracleError is raised once the orbit would grow past limit elements.
+    """
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for f in maps:
+            y = f(x)
+            if y not in orbit:
+                if len(orbit) >= limit:
+                    raise OracleError(f"orbit exceeded limit {limit}")
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
 def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
-    """Orbit BFS under conjugation by the view's generators.
+    """Orbits under conjugation by the view's generators.
 
     Classes are ordered identity first, then by (size, minimal member), and
     each representative is the minimal member, so the result is deterministic.
     """
-    gens = view.generators or view.elements
-    conjugators = [(view.left(g), view.right(view.inv(g))) for g in gens]
-    assigned: dict = {}
-    raw_classes = []
+    conjugators = [lambda x, a=view.left(g), b=view.right(view.inv(g)): a(b(x))
+                   for g in view.generators]
+    seen: set = set()
+    classes = []
     for start in view.elements:
-        if start in assigned:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g_times, times_gi in conjugators:
-                y = g_times(times_gi(x))
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        idx = len(raw_classes)
-        for x in orbit:
-            assigned[x] = idx
-        raw_classes.append(tuple(sorted(orbit)))
-    order = sorted(
-        range(len(raw_classes)),
-        key=lambda i: (
-            raw_classes[i][0] != view.identity,
-            len(raw_classes[i]),
-            raw_classes[i][0],
-        ),
-    )
-    classes = [raw_classes[i] for i in order]
+        if start not in seen:
+            orbit = _orbit(start, conjugators, view.order)
+            seen.update(orbit)
+            classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda cls: (cls[0] != view.identity, len(cls), cls[0]))
     class_map = {x: k for k, cls in enumerate(classes) for x in cls}
     return ConjugacyPartition(
         reps=tuple(cls[0] for cls in classes),
@@ -322,23 +315,13 @@ def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
 
 
 def closure(gens, right, identity, limit: int = GROUP_SIZE_LIMIT) -> tuple:
-    """BFS closure of a generator list; sorted tuple of elements.
+    """The group generated by gens, as a sorted tuple of elements.
 
-    `right(g)` is the map x -> x.g, made once per generator.
+    `right(g)` is the map x -> x.g, made once per generator; OracleError is
+    raised past limit elements.
     """
-    elements = {identity}
-    frontier = [identity]
     steps = [right(g) for g in sorted({g for g in gens if g != identity})]
-    while frontier:
-        x = frontier.pop()
-        for times_g in steps:
-            y = times_g(x)
-            if y not in elements:
-                if len(elements) >= limit:
-                    raise OracleError(f"closure exceeded limit {limit}")
-                elements.add(y)
-                frontier.append(y)
-    return tuple(sorted(elements))
+    return tuple(sorted(_orbit(identity, steps, limit)))
 
 
 def find_generators(candidates, right, identity, order: int) -> tuple[tuple, tuple]:
@@ -445,13 +428,13 @@ def _candidates(n: int, F: FiniteField):
 
 
 @cache
-def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> MatrixGroup:
+def build_group(kind: str, n: int, q: int) -> MatrixGroup:
     """Construct GL/SL/GU/SU of degree n over the field with q elements.
 
     GU/SU live inside GL_n(q^2) cut out by the antidiagonal Hermitian form.
     The generators are the members of the candidate stream kept greedily
     until the closure reaches the order formula; the element count is
-    checked against it.
+    checked against it.  OracleError is raised past GROUP_SIZE_LIMIT.
     """
     if kind not in ("GL", "SL", "GU", "SU"):
         raise OracleError(f"unknown kind {kind}")
@@ -461,8 +444,8 @@ def build_group(kind: str, n: int, q: int, limit: int = GROUP_SIZE_LIMIT) -> Mat
     special = kind in ("SL", "SU")
     sp = spp(-1 if unitary else 1, q)
     expected = sl_group_order(n, sp) if special else group_order(n, sp)
-    if expected > limit:
-        raise OracleError(f"group order {expected} exceeds limit {limit}")
+    if expected > GROUP_SIZE_LIMIT:
+        raise OracleError(f"group order {expected} exceeds limit {GROUP_SIZE_LIMIT}")
 
     F = build_field(sp.p, (2 if unitary else 1) * sp.m)
     v0 = form_matrix(n, F)
@@ -506,15 +489,16 @@ def frobenius_twist(g: Matrix, F: FiniteField) -> Matrix:
     return tuple(tuple(map(frobenius, row)) for row in g)
 
 
-def gamma_twist(g: Matrix, F: FiniteField, v0: Matrix) -> Matrix:
-    """The twist gamma(g) = v0 . (g^T)^(-1) . v0^(-1)."""
-    gt = tuple(zip(*g))
-    return mat_mul(mat_mul(v0, mat_inv(gt, F), F), _form_inverse(v0, F), F)
+def gamma_twist(g: Matrix, F: FiniteField) -> Matrix:
+    """The twist gamma(g) = v0 . (g^T)^(-1) . v0^(-1) for v0 = form_matrix.
 
-
-@cache
-def _form_inverse(v0: Matrix, F: FiniteField) -> Matrix:
-    return mat_inv(v0, F)
+    v0 is antidiagonal with entries (-1)^i in row i, so with h = (g^T)^(-1)
+    the twist is the signed reversal (-1)^(i+j) h[n-1-i][n-1-j].
+    """
+    neg = F.neg
+    return tuple(
+        tuple(x if (i + j) % 2 == 0 else neg(x) for j, x in enumerate(reversed(row)))
+        for i, row in enumerate(reversed(mat_inv(tuple(zip(*g)), F))))
 
 
 def frobenius_map(G: MatrixGroup, g: Matrix) -> Matrix:
@@ -526,8 +510,8 @@ def frobenius_map(G: MatrixGroup, g: Matrix) -> Matrix:
 
 
 def gamma_map(G: MatrixGroup, g: Matrix) -> Matrix:
-    """gamma_twist on G with its form v0, checked to stay inside G."""
-    out = gamma_twist(g, G.F, G.v0)
+    """gamma_twist on G, checked to stay inside G."""
+    out = gamma_twist(g, G.F)
     if out not in G.index:
         raise OracleError("gamma image left the group")
     return out
@@ -550,9 +534,8 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
     generator conjugates each generator of sub into sub.  Element
     conjugations are kept for the call; conjugates share most elements.
     """
-    gens = view.generators or view.elements
     steps = []
-    for g in gens:
+    for g in view.generators:
         g_times, times_gi = view.left(g), view.right(view.inv(g))
         steps.append((g, g_times, times_gi,
                       _Images(lambda x, a=g_times, b=times_gi: a(b(x)))))
@@ -584,7 +567,7 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
                           f"expected |G| / |orbit| = {order}")
     if not all(mul(mul(n, s), n_inv) in sub_set
                for n, n_inv in zip(kept, map(inv, kept))
-               for s in sub.generators or sub.elements):
+               for s in sub.generators):
         raise OracleError("a Schreier generator does not normalize the subgroup")
     return subgroup_view(view, elements, kept)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .exactfield import SignedPrimePower, factor_field, group_order
+from .exactfield import CertificateError, SignedPrimePower, factor_field, group_order
 
 Label = tuple[int, int]
 
@@ -148,7 +148,9 @@ def pgl_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
     """Orbits of the central translation action on semisimple classes.
 
     Each orbit is the parameter of one semisimple class of the adjoint
-    group; returned as sorted tuples with the minimal class first.
+    group; returned as sorted tuples with the minimal class first.  Each is
+    walked as a cycle of translation by 1, which must close within M_1 steps
+    with a length dividing M_1, or CertificateError is raised.
     """
     m1 = eigen_modulus(1, sp)
     seen: set = set()
@@ -156,7 +158,13 @@ def pgl_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
     for cls in enumerate_ss_classes(n, sp):
         if cls in seen:
             continue
-        orbit = {zhat_translate(cls, sp, z) for z in range(m1)}
+        orbit, x = [cls], zhat_translate(cls, sp, 1)
+        while x != cls and len(orbit) <= m1:
+            orbit.append(x)
+            x = zhat_translate(x, sp, 1)
+        if m1 % len(orbit):   # a walk that never closes stops at M_1 + 1 classes
+            raise CertificateError(f"class {cls} does not return to itself "
+                                   f"after {m1} translates by 1")
         seen.update(orbit)
         orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)

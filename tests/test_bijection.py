@@ -1,5 +1,6 @@
 """Cell reports: schema, pairing, oracle cross-validation."""
 
+import math
 import os
 import subprocess
 import sys
@@ -144,30 +145,35 @@ def _check_torus(G, ell, order):
     assert torus.order == order
     assert all(G.mul(g, h) == G.mul(h, g)
                for g in torus.elements for h in torus.generators)
-    assert torus_data(G.n, G.sp, ell).Q % torus.exponent() == 0
+    reps = torus.conjugacy_classes().reps
+    assert torus_data(G.n, G.sp, ell).Q % math.lcm(*map(torus.element_order, reps)) == 0
     assert normalizer(G, torus).order == local_order(G.n, G.sp, ell)
 
 
-def test_explicit_torus_orders():
+def test_explicit_torus_orders(monkeypatch):
+    # GU(4,2) has order 77760, past the default GROUP_SIZE_LIMIT
+    monkeypatch.setattr(matrixoracle, "GROUP_SIZE_LIMIT", 77760)
     cases = [
-        ("GL", 2, 3, 2, 8, 25000),      # d0 = 2: one cyclic block of order 8
-        ("GU", 2, 2, 3, 9, 25000),      # d0 = 1: two norm-one blocks
-        ("GU", 2, 5, 2, 24, 25000),     # cyclic of order q^2 - 1
-        ("GL", 2, 4, 3, 9, 25000),      # diagonal units over a non-prime field
-        ("GU", 2, 4, 3, 15, 25000),     # cyclic of order q^2 - 1
-        ("GU", 3, 2, 3, 27, 25000),     # d0 = 1: three norm-one blocks
-        ("GU", 2, 7, 3, 48, 25000),     # cyclic of order q^2 - 1
-        ("GU", 4, 2, 3, 81, 77760),     # C_3^4: no regular element of G
+        ("GL", 2, 3, 2, 8),      # d0 = 2: one cyclic block of order 8
+        ("GU", 2, 2, 3, 9),      # d0 = 1: two norm-one blocks
+        ("GU", 2, 5, 2, 24),     # cyclic of order q^2 - 1
+        ("GL", 2, 4, 3, 9),      # diagonal units over a non-prime field
+        ("GU", 2, 4, 3, 15),     # cyclic of order q^2 - 1
+        ("GU", 3, 2, 3, 27),     # d0 = 1: three norm-one blocks
+        ("GU", 2, 7, 3, 48),     # cyclic of order q^2 - 1
+        ("GU", 4, 2, 3, 81),     # C_3^4: no regular element of G
     ]
-    for kind, n, q, ell, order, limit in cases:
-        _check_torus(build_group(kind, n, q, limit), ell, order)
+    for kind, n, q, ell, order in cases:
+        _check_torus(build_group(kind, n, q), ell, order)
 
 
 @pytest.mark.frontier
-def test_explicit_torus_past_the_oracle_cap():
+def test_explicit_torus_past_the_oracle_cap(monkeypatch):
+    # GU(3,4) has order 312000
+    monkeypatch.setattr(matrixoracle, "GROUP_SIZE_LIMIT", 312000)
     t0 = time.perf_counter()
-    _check_torus(build_group("GU", 4, 2, 77760), 5, 15)      # d0 = n
-    _check_torus(build_group("GU", 3, 4, 312000), 3, 15)     # m = 1
+    _check_torus(build_group("GU", 4, 2), 5, 15)      # d0 = n
+    _check_torus(build_group("GU", 3, 4), 3, 15)      # m = 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"past-cap tori took {elapsed:.1f}s"
 
@@ -495,10 +501,12 @@ def test_certificates_run_under_optimize():
         "from mckaylab import gggr\n"
         "gens = gggr.u2_generators   # without the level-2 position (1, 0)\n"
         "gggr.u2_generators = lambda lam, F: gens(lam, F)[1:]\n"
-        "try:\n"
-        "    gggr.check_homomorphism((3, 1), 2, pair_limit=0)\n"
+        "limit, gggr.HOM_EXHAUSTIVE_LIMIT = gggr.HOM_EXHAUSTIVE_LIMIT, 0\n"
+        "try:   # the partners are the generators\n"
+        "    gggr.check_homomorphism((3, 1), 2)\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        "gggr.HOM_EXHAUSTIVE_LIMIT = limit\n"
         "gggr.frobenius_twist = lambda g, F: ((g[0][0], 1),) + g[1:]\n"
         "try:\n"
         "    gggr.check_equivariance((2,), 3)   # the twist leaves U_2\n"

@@ -1,6 +1,7 @@
 """Exact character tables over cyclotomic integers."""
 
 import dataclasses
+import math
 import operator
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from mckaylab import dixon
 from mckaylab.exactfield import CertificateError
-from mckaylab.matrixoracle import build_group, sylow_subgroup
+from mckaylab.bijection import explicit_torus
+from mckaylab.matrixoracle import build_group, normalizer, sylow_subgroup
 
 TABLES = {
     ("SL", 2, 3): [1, 1, 1, 2, 2, 2, 3],
@@ -53,6 +55,40 @@ def test_class_matrices_match_a_plain_loop(view):
     inv_class = tuple(part.class_map[view.inv(z)] for z in part.reps)
     assert dixon._class_matrices(view, part, inv_class) \
         == reference_class_matrices(view, part)
+
+
+def _oracle_normalizers(kind, n, q, ell):
+    """The Sylow and torus normalizers NP and NT of an oracle cell."""
+    G = build_group(kind, n, q)
+    return (normalizer(G, sylow_subgroup(G, ell)),
+            normalizer(G, explicit_torus(G, ell)))
+
+
+@pytest.mark.parametrize("view", [
+    lambda: build_group("GL", 2, 3),
+    lambda: build_group("GU", 2, 3),
+    lambda: build_group("GL", 3, 2),
+    lambda: build_group("GU", 3, 2),
+    lambda: build_group("GL", 2, 4),
+    lambda: _oracle_normalizers("GL", 2, 3, 2)[0],
+    lambda: _oracle_normalizers("GL", 2, 3, 2)[1],
+    lambda: _oracle_normalizers("GU", 2, 3, 5)[0],
+    lambda: _oracle_normalizers("GU", 2, 3, 5)[1],
+], ids=["GL(2,3)", "GU(2,3)", "GL(3,2)", "GU(3,2)", "GL(2,4)",
+        "NP of GL(2,3) ell=2", "NT of GL(2,3) ell=2",
+        "NP of GU(2,3) ell=5", "NT of GU(2,3) ell=5"])
+def test_power_walks_give_orders_and_inverse_classes(view):
+    view = view()
+    part = view.conjugacy_classes()
+    walks = dixon._power_walks(view, part)
+    for z, walk in zip(part.reps, walks):
+        powers = [view.identity]
+        while len(powers) < view.element_order(z):
+            powers.append(view.mul(powers[-1], z))
+        assert walk == [part.class_map[x] for x in powers]
+        assert walk[-1] == part.class_map[view.inv(z)]
+    orders = [view.element_order(z) for z in part.reps]
+    assert dixon.character_table(view).ctx.N == math.lcm(*orders)
 
 
 def test_row_orthogonality():

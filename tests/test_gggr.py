@@ -101,29 +101,33 @@ def test_character_is_multiplicative(lam, q):
 
 @pytest.mark.parametrize("lam,q", [((2,), 3), ((3, 1), 2), ((2, 2), 2),
                                    ((3,), 4)])
-def test_generator_walk_counts_every_element_times_every_generator(lam, q):
+def test_generator_walk_counts_every_element_times_every_generator(
+        lam, q, monkeypatch):
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
     n_gens = len(gggr.u2_positions(lam)) * F.k
     n_els = q ** len(gggr.u2_positions(lam))
-    assert gggr.check_homomorphism(lam, q, pair_limit=0) == n_els * n_gens
     assert gggr.check_homomorphism(lam, q) == n_els ** 2
+    monkeypatch.setattr(gggr, "HOM_EXHAUSTIVE_LIMIT", 0)
+    assert gggr.check_homomorphism(lam, q) == n_els * n_gens
 
 
 def test_generator_walk_fails_without_one_position(monkeypatch):
     # (1, 0) is a level-2 position and no product of the other positions
     gens = gggr.u2_generators
     monkeypatch.setattr(gggr, "u2_generators", lambda lam, F: gens(lam, F)[1:])
+    monkeypatch.setattr(gggr, "HOM_EXHAUSTIVE_LIMIT", 0)
     with pytest.raises(CertificateError, match="do not generate"):
-        gggr.check_homomorphism((3, 1), 2, pair_limit=0)
+        gggr.check_homomorphism((3, 1), 2)
 
 
 def test_homomorphism_fails_on_a_partner_outside_u2(monkeypatch):
     gens = gggr.u2_generators
     monkeypatch.setattr(gggr, "u2_generators", lambda lam, F: tuple(
         tuple(zip(*h)) for h in gens(lam, F)))
+    monkeypatch.setattr(gggr, "HOM_EXHAUSTIVE_LIMIT", 0)
     with pytest.raises(CertificateError, match="partner lies outside"):
-        gggr.check_homomorphism((2,), 3, pair_limit=0)
+        gggr.check_homomorphism((2,), 3)
 
 
 def test_homomorphism_fails_on_a_product_outside_u2(monkeypatch):

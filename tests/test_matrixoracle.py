@@ -1,5 +1,6 @@
 """Brute-force matrix groups: construction, classes, subgroup machinery."""
 
+import math
 from itertools import combinations, islice
 
 import pytest
@@ -10,9 +11,12 @@ from mckaylab.exactfield import build_field, ell_part, prime_factors
 from mckaylab.matrixoracle import (
     OracleError,
     build_group,
+    closure,
     conjugacy_partition,
+    form_matrix,
     frobenius_map,
     gamma_map,
+    gamma_twist,
     identity_matrix,
     left_mul,
     mat_det,
@@ -83,7 +87,8 @@ def test_class_partition_is_deterministic_and_sane():
 
 def test_exponent_and_element_orders():
     G = build_group("SL", 2, 3)
-    assert G.exponent() == 12
+    reps = G.conjugacy_classes().reps
+    assert math.lcm(*map(G.element_order, reps)) == 12
     assert sorted({G.element_order(g) for g in G.elements}) == [1, 2, 3, 4, 6]
 
 
@@ -225,6 +230,25 @@ def test_automorphisms_are_multiplicative():
                 == G.mul(frobenius_map(G, g), frobenius_map(G, h))
 
 
+@pytest.mark.parametrize("kind,n,q", [("GL", 2, 3), ("GU", 2, 3), ("GL", 3, 2),
+                                      ("GU", 3, 2), ("GL", 2, 4)])
+def test_gamma_twist_is_conjugation_by_the_form(kind, n, q):
+    G = build_group(kind, n, q)
+    F = G.F
+    v0 = form_matrix(n, F)
+    v0_inv = mat_inv(v0, F)
+    for g in G.elements:
+        h = mat_inv(tuple(zip(*g)), F)
+        assert gamma_twist(g, F) == mat_mul(mat_mul(v0, h, F), v0_inv, F)
+
+
+def test_closure_raises_past_its_limit():
+    G = build_group("GL", 2, 3)
+    assert len(closure(G.generators, G.right, G.identity, limit=48)) == 48
+    with pytest.raises(OracleError, match="exceeded limit 47"):
+        closure(G.generators, G.right, G.identity, limit=47)
+
+
 def test_automorphisms_permute_the_group():
     G = build_group("SL", 2, 3)
     image = {gamma_map(G, g) for g in G.elements}
@@ -235,7 +259,7 @@ def test_build_group_rejects_bad_input():
     with pytest.raises(OracleError):
         build_group("SP", 2, 3)
     with pytest.raises(OracleError):
-        build_group("GL", 4, 7, limit=1000)
+        build_group("GL", 4, 7)
 
 
 # ---------------------------------------------------------------------------

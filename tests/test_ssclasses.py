@@ -2,7 +2,8 @@
 
 import pytest
 
-from mckaylab.exactfield import spp
+from mckaylab import ssclasses
+from mckaylab.exactfield import CertificateError, spp
 from mckaylab.matrixoracle import build_group
 from mckaylab.ssclasses import (
     SSClass,
@@ -121,6 +122,38 @@ def test_component_group_is_the_multiples_of_the_orbit_length(n, eps, q):
     for orbit in pgl_ss_classes(n, sp):
         for cls in orbit:
             assert component_group(cls, sp) == tuple(range(0, m1, len(orbit)))
+
+
+@pytest.mark.parametrize("n,eps,q", [
+    (n, eps, q) for n in (1, 2, 3) for eps in (1, -1) for q in (2, 3, 4, 5, 7)])
+def test_pgl_orbits_are_the_translates_by_every_z(n, eps, q):
+    sp = spp(eps, q)
+    m1 = eigen_modulus(1, sp)
+    want, seen = [], set()
+    for cls in enumerate_ss_classes(n, sp):
+        if cls not in seen:
+            orbit = {zhat_translate(cls, sp, z) for z in range(m1)}
+            seen.update(orbit)
+            want.append(tuple(sorted(orbit)))
+    assert pgl_ss_classes(n, sp) == tuple(want)
+
+
+def test_pgl_orbits_raise_on_a_cycle_that_never_closes(monkeypatch):
+    sp = spp(1, 5)
+    first = enumerate_ss_classes(2, sp)[0]
+    monkeypatch.setattr(ssclasses, "zhat_translate", lambda cls, sp, z: first)
+    with pytest.raises(CertificateError, match="does not return"):
+        pgl_ss_classes(2, sp)
+
+
+def test_pgl_orbits_raise_on_a_cycle_length_not_dividing_m1(monkeypatch):
+    sp = spp(1, 5)   # M_1 = 4
+    classes = enumerate_ss_classes(2, sp)
+    cycle = {classes[i]: classes[(i + 1) % 3] for i in range(3)}
+    monkeypatch.setattr(ssclasses, "zhat_translate",
+                        lambda cls, sp, z: cycle.get(cls, cls))
+    with pytest.raises(CertificateError, match="does not return"):
+        pgl_ss_classes(2, sp)
 
 
 def test_pgl_class_counts():
