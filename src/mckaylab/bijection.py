@@ -30,7 +30,6 @@ from .exactfield import (
     ell_val,
     group_order,
     isprime,
-    sl_group_order,
     spp,
 )
 from .charparams import (
@@ -535,12 +534,10 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
     record("torus_normalizer_ellprime", got_nt_lp == want_local_lp,
            oracle=got_nt_lp, combinatorial=want_local_lp)
 
-    if sl_group_order(n, sp) <= oracle_limit:
-        skind = "SL" if sp.eps == 1 else "SU"
-        S = build_group(skind, n, cell.q)
-        got_classes = S.conjugacy_classes().count
-        record("sl_class_count", got_classes == count_irr_sl(n, sp),
-               oracle=got_classes, combinatorial=count_irr_sl(n, sp))
+    S = build_group("SL" if sp.eps == 1 else "SU", n, cell.q)
+    got_classes = S.conjugacy_classes().count
+    record("sl_class_count", got_classes == count_irr_sl(n, sp),
+           oracle=got_classes, combinatorial=count_irr_sl(n, sp))
 
     return out
 

@@ -18,8 +18,8 @@ from functools import cache
 from itertools import product as iproduct
 
 from .exactfield import (
-    CertificateError,
     SignedPrimePower,
+    cycles,
     ell_part,
     ell_val,
     factor_field,
@@ -29,13 +29,13 @@ from .exactfield import (
 from .partitions import e_core_quotient, generic_degree, partitions, wreath_degree
 from .ssclasses import (
     SSClass,
-    canonical_label,
     centralizer_order,
     centralizer_type,
     eigen_modulus,
     enumerate_ss_classes,
     norm_exponent,
     pgl_ss_classes,
+    translated_factors,
 )
 
 
@@ -85,14 +85,10 @@ def central_char(chi: GlobalChar, sp: SignedPrimePower) -> int:
 
 def zhat_act(chi: GlobalChar, sp: SignedPrimePower, z: int) -> GlobalChar:
     """Tensor by the z-th power of the determinant-type linear character."""
-    m1 = eigen_modulus(1, sp)
-    decorated = []
-    for ((k, e), m), lam in zip(chi.cls.factors, chi.parts):
-        mk = eigen_modulus(k, sp)
-        decorated.append((canonical_label(k, e + z * (mk // m1), sp), m, lam))
-    decorated.sort(key=lambda t: (t[0], t[1]))
-    cls = SSClass(tuple((lab, m) for lab, m, _ in decorated))
-    return GlobalChar(cls, tuple(lam for _, _, lam in decorated))
+    moved = translated_factors([(lab, (m, lam)) for (lab, m), lam
+                                in zip(chi.cls.factors, chi.parts)], sp, z)
+    cls = SSClass(tuple((lab, m) for lab, (m, _) in moved))
+    return GlobalChar(cls, tuple(lam for _, (_, lam) in moved))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +132,10 @@ def label_table(chars: tuple, degree, central, shift, m1: int) -> LabelTable:
     """
     index = {c: i for i, c in enumerate(chars)}
     step = tuple(index[shift(c)] for c in chars)
-    stabs = []
-    for i in range(len(chars)):
-        j, cycle = step[i], 1
-        while j != i and cycle <= m1:
-            j, cycle = step[j], cycle + 1
-        if m1 % cycle:
-            raise CertificateError(f"character {i} does not return to itself "
-                                   f"after {m1} translates by 1")
-        stabs.append(m1 // cycle)
+    stabs = [0] * len(chars)
+    for cycle in cycles(len(chars), step.__getitem__, m1):
+        for i in cycle:
+            stabs[i] = m1 // len(cycle)
     return LabelTable(
         chars=chars,
         index=index,
@@ -231,20 +222,19 @@ def count_jordan_params(n: int, sp: SignedPrimePower) -> int:
     For each translation orbit of semisimple classes and each orbit of
     A(s) on the attached multipartitions, the packet contributes the
     order of the stabilizer of the multipartition in A(s), the subgroup
-    of Z/M_1 of order M_1 / |orbit(s)|: the multiples of |orbit(s)|.
+    of Z/M_1 of order M_1 / |orbit(s)|.  A(s) is cyclic, generated by
+    |orbit(s)|, which fixes s, so its orbits are the cycles of that
+    translate on the multipartitions.
     """
     m1 = eigen_modulus(1, sp)
     total = 0
     for orbit in pgl_ss_classes(n, sp):
-        a = range(0, m1, len(orbit))
-        seen: set = set()
-        for parts in iproduct(*(partitions(m) for _, m in orbit[0].factors)):
-            chi = GlobalChar(orbit[0], parts)
-            if chi in seen:
-                continue
-            sub_orbit = {zhat_act(chi, sp, z) for z in a}
-            seen.update(sub_orbit)
-            total += len(a) // len(sub_orbit)
+        cls, o = orbit[0], len(orbit)
+        a = m1 // o   # |A(s)|
+        multis = list(iproduct(*(partitions(m) for _, m in cls.factors)))
+        index = {parts: i for i, parts in enumerate(multis)}
+        step = lambda i: index[zhat_act(GlobalChar(cls, multis[i]), sp, o).parts]
+        total += sum(a // len(c) for c in cycles(len(multis), step, a))
     return total
 
 

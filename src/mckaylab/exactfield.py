@@ -3,9 +3,9 @@
 Primality, prime powers and prime factors of integers; small finite
 fields with deterministic defining polynomials and their GF(p)[x]
 remainder and irreducibility routines; the one power-walking order
-routine, l-part/l'-part splitting and orders of general linear and unitary
-groups.  Everything is plain integer arithmetic; nothing here is
-approximate or probabilistic.
+routine, the one cycle walker, l-part/l'-part splitting and orders of
+general linear and unitary groups.  Everything is plain integer
+arithmetic; nothing here is approximate or probabilistic.
 """
 
 from __future__ import annotations
@@ -403,6 +403,28 @@ def element_order(g, mul, identity) -> int:
         x = mul(x, g)
         n += 1
     return n
+
+
+def cycles(n: int, step, period: int):
+    """Yield the cycles of step on range(n), each walked once from its least
+    member and listed in walk order, ordered by least member.
+
+    Raises CertificateError unless every walk closes within period >= 1
+    steps with a length dividing period, which makes step a permutation.
+    """
+    done = bytearray(n)
+    for start in range(n):
+        if done[start]:
+            continue
+        cycle, x = [start], step(start)
+        while x != start and len(cycle) <= period:
+            cycle.append(x)
+            done[x] = 1
+            x = step(x)
+        if period % len(cycle):   # a walk that never closes stops at period + 1
+            raise CertificateError(f"{start} does not return to itself "
+                                   f"after {period} steps")
+        yield cycle
 
 
 def mult_order(a: int, modulus: int) -> int:

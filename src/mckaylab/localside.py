@@ -93,20 +93,17 @@ def local_order(n: int, sp: SignedPrimePower, ell: int) -> int:
 
 def canonical_theta(theta: int, n: int, sp: SignedPrimePower, ell: int) -> int:
     """Minimal member of the eq-power orbit of theta in Z/Q."""
-    Q = torus_data(n, sp, ell).Q
-    return eq_orbits(Q, sp).rep[theta % Q]
+    td = torus_data(n, sp, ell)
+    least, _ = eq_orbits(td.d0, sp)
+    return least[theta % td.Q]
 
 
 @cache
 def theta_orbits(n: int, sp: SignedPrimePower, ell: int) -> tuple:
-    """All eq-power orbits on Z/Q as (representative, size), sorted."""
-    td = torus_data(n, sp, ell)
-    orbits = eq_orbits(td.Q, sp)
-    out = tuple((theta, orbits.size[theta]) for theta in range(td.Q)
-                if orbits.rep[theta] == theta)
-    if any(td.d0 % size for _, size in out):
-        raise CertificateError("an eq-power orbit size does not divide d0")
-    return out
+    """All eq-power orbits on Z/Q, Q = M_d0, as (representative, size), sorted."""
+    least, size = eq_orbits(torus_data(n, sp, ell).d0, sp)
+    return tuple((theta, size[theta]) for theta in range(len(least))
+                 if least[theta] == theta)
 
 
 @dataclass(frozen=True, order=True)
@@ -258,7 +255,7 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
     raise TransportError with the offending factor.
     """
     td = torus_data(n, sp, ell)
-    orbits = eq_orbits(td.Q, sp)
+    least, size = eq_orbits(td.d0, sp)
     core_factors = []
     blocks = []
     for ((k, e_lab), mult), lam in zip(chi.cls.factors, chi.parts):
@@ -273,8 +270,8 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
                     f"factor of degree {k} with nonempty quotient, d0={td.d0}"
                 )
             mk = eigen_modulus(k, sp)
-            rep = orbits.rep[td.sigma * e_lab * (td.Q // mk) % td.Q]
-            if orbits.size[rep] != k:
+            rep = least[td.sigma * e_lab * (td.Q // mk) % td.Q]
+            if size[rep] != k:
                 raise TransportError(
                     f"transported torus character has orbit size != {k}"
                 )

@@ -314,7 +314,7 @@ def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
     )
 
 
-def closure(gens, right, identity, limit: int = GROUP_SIZE_LIMIT) -> tuple:
+def closure(gens, right, identity, limit: int) -> tuple:
     """The group generated by gens, as a sorted tuple of elements.
 
     `right(g)` is the map x -> x.g, made once per generator; OracleError is
@@ -427,33 +427,38 @@ def _candidates(n: int, F: FiniteField):
             yield identity_with(zip(positions, entries))
 
 
-@cache
 def build_group(kind: str, n: int, q: int) -> MatrixGroup:
     """Construct GL/SL/GU/SU of degree n over the field with q elements.
 
     GU/SU live inside GL_n(q^2) cut out by the antidiagonal Hermitian form.
     The generators are the members of the candidate stream kept greedily
     until the closure reaches the order formula; the element count is
-    checked against it.  OracleError is raised past GROUP_SIZE_LIMIT.
+    checked against it.  OracleError is raised past GROUP_SIZE_LIMIT, read
+    on every call in front of the memo.
     """
     if kind not in ("GL", "SL", "GU", "SU"):
         raise OracleError(f"unknown kind {kind}")
     if n < 1:
         raise OracleError(f"n={n} must be >= 1")
-    unitary = kind in ("GU", "SU")
-    special = kind in ("SL", "SU")
-    sp = spp(-1 if unitary else 1, q)
-    expected = sl_group_order(n, sp) if special else group_order(n, sp)
+    sp = spp(-1 if kind in ("GU", "SU") else 1, q)
+    expected = sl_group_order(n, sp) if kind in ("SL", "SU") else group_order(n, sp)
     if expected > GROUP_SIZE_LIMIT:
         raise OracleError(f"group order {expected} exceeds limit {GROUP_SIZE_LIMIT}")
+    return _build_group(kind, n, sp, expected)
 
+
+@cache
+def _build_group(kind: str, n: int, sp: SignedPrimePower, expected: int) -> MatrixGroup:
+    """The memo behind build_group, reached only with kind and size checked."""
+    unitary = sp.eps == -1
+    special = kind in ("SL", "SU")
     F = build_field(sp.p, (2 if unitary else 1) * sp.m)
     v0 = form_matrix(n, F)
     mul = lambda a, b: mat_mul(a, b, F)
     right = lambda b: right_mul(b, F)
 
     def member(g: Matrix) -> bool:
-        if unitary and mul(mul(conj_transpose(g, F, q), v0), g) != v0:
+        if unitary and mul(mul(conj_transpose(g, F, sp.q), v0), g) != v0:
             return False
         return not special or mat_det(g, F) == 1
 
@@ -461,7 +466,7 @@ def build_group(kind: str, n: int, q: int) -> MatrixGroup:
                                      identity_matrix(n), expected)
     if len(elements) != expected:
         raise OracleError(
-            f"built {len(elements)} elements of {kind}_{n}({q}), expected {expected}"
+            f"built {len(elements)} elements of {kind}_{n}({sp.q}), expected {expected}"
         )
     return MatrixGroup(
         elements=elements,
@@ -477,6 +482,9 @@ def build_group(kind: str, n: int, q: int) -> MatrixGroup:
         F=F,
         v0=v0,
     )
+
+
+build_group.cache_clear = _build_group.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .exactfield import CertificateError, SignedPrimePower, factor_field, group_order
+from .exactfield import SignedPrimePower, cycles, factor_field, group_order
 
 Label = tuple[int, int]
 
@@ -31,51 +31,37 @@ def eigen_modulus(k: int, sp: SignedPrimePower) -> int:
     return abs(sp.q**k - sp.eps**k)
 
 
-@dataclass(frozen=True)
-class PowerOrbits:
-    """Orbits of x -> base * x on Z/m: rep[x] is the least member, size[x] the length."""
-
-    rep: tuple
-    size: tuple
-
-
 @cache
-def power_orbits(m: int, base: int) -> PowerOrbits:
-    """The orbit table of multiplication by base on Z/m, walked once."""
-    rep = [-1] * m
+def eq_orbits(k: int, sp: SignedPrimePower) -> tuple:
+    """Orbits of the eq-power (Frobenius) map on Z/M_k, as (least, size):
+    least[x] is the least member of the orbit of x, and size[r] is the
+    length of the orbit whose least member is r (0 at other members).
+
+    eq^k = 1 modulo M_k, so cycles certifies every length to divide k.
+    """
+    m = eigen_modulus(k, sp)
+    eq = sp.eq % m
+    least = [0] * m
     size = [0] * m
-    for x in range(m):
-        if rep[x] >= 0:
-            continue
-        orbit = [x]
-        y = x * base % m
-        while y != x:
-            orbit.append(y)
-            y = y * base % m
-        for y in orbit:
-            rep[y] = x
-            size[y] = len(orbit)
-    return PowerOrbits(tuple(rep), tuple(size))
-
-
-def eq_orbits(m: int, sp: SignedPrimePower) -> PowerOrbits:
-    """Orbits of the eq-power (Frobenius) map on Z/m."""
-    return power_orbits(m, sp.eq % m)
+    for cycle in cycles(m, lambda x: x * eq % m, k):
+        r = cycle[0]
+        for x in cycle:
+            least[x] = r
+        size[r] = len(cycle)
+    return tuple(least), tuple(size)
 
 
 def canonical_label(k: int, e: int, sp: SignedPrimePower) -> Label:
     """Minimal member of the multiplication-by-eq orbit of e in Z/M_k."""
-    m = eigen_modulus(k, sp)
-    return (k, eq_orbits(m, sp).rep[e % m])
+    least, _ = eq_orbits(k, sp)
+    return (k, least[e % len(least)])
 
 
 @cache
 def labels_of_degree(k: int, sp: SignedPrimePower) -> tuple:
     """Canonical representatives of the orbits of size exactly k."""
-    m = eigen_modulus(k, sp)
-    orbits = eq_orbits(m, sp)
-    return tuple(e for e in range(m)
-                 if orbits.rep[e] == e and orbits.size[e] == k)
+    least, size = eq_orbits(k, sp)
+    return tuple(e for e in range(len(least)) if least[e] == e and size[e] == k)
 
 
 @cache
@@ -134,14 +120,21 @@ def norm_exponent(cls: SSClass, sp: SignedPrimePower) -> int:
     return out % m1
 
 
-def zhat_translate(cls: SSClass, sp: SignedPrimePower, z: int) -> SSClass:
-    """Multiply the class by the central eigenvalue with exponent z."""
+def translated_factors(factors, sp: SignedPrimePower, z: int) -> list:
+    """The ((k, e), x) factors with each label multiplied by the central
+    eigenvalue with exponent z, sorted; translation permutes the distinct
+    labels of a class, so the sort never compares two x."""
     m1 = eigen_modulus(1, sp)
     new = []
-    for (k, e), m in cls.factors:
-        mk = eigen_modulus(k, sp)
-        new.append((canonical_label(k, e + z * (mk // m1), sp), m))
-    return SSClass(tuple(sorted(new)))
+    for (k, e), x in factors:
+        new.append((canonical_label(k, e + z * (eigen_modulus(k, sp) // m1), sp), x))
+    new.sort()
+    return new
+
+
+def zhat_translate(cls: SSClass, sp: SignedPrimePower, z: int) -> SSClass:
+    """Multiply the class by the central eigenvalue with exponent z."""
+    return SSClass(tuple(translated_factors(cls.factors, sp, z)))
 
 
 def pgl_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
@@ -149,22 +142,10 @@ def pgl_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
 
     Each orbit is the parameter of one semisimple class of the adjoint
     group; returned as sorted tuples with the minimal class first.  Each is
-    walked as a cycle of translation by 1, which must close within M_1 steps
-    with a length dividing M_1, or CertificateError is raised.
+    one of the cycles of translation by 1, with period M_1.
     """
-    m1 = eigen_modulus(1, sp)
-    seen: set = set()
-    orbits = []
-    for cls in enumerate_ss_classes(n, sp):
-        if cls in seen:
-            continue
-        orbit, x = [cls], zhat_translate(cls, sp, 1)
-        while x != cls and len(orbit) <= m1:
-            orbit.append(x)
-            x = zhat_translate(x, sp, 1)
-        if m1 % len(orbit):   # a walk that never closes stops at M_1 + 1 classes
-            raise CertificateError(f"class {cls} does not return to itself "
-                                   f"after {m1} translates by 1")
-        seen.update(orbit)
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+    classes = enumerate_ss_classes(n, sp)
+    index = {cls: i for i, cls in enumerate(classes)}
+    step = lambda i: index[zhat_translate(classes[i], sp, 1)]
+    return tuple(tuple(classes[i] for i in sorted(cycle))
+                 for cycle in cycles(len(classes), step, eigen_modulus(1, sp)))

@@ -1,5 +1,8 @@
 """Arithmetic helpers: signed prime powers, orders, field towers."""
 
+import math
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -8,10 +11,12 @@ from sympy.polys.galoistools import gf_irreducible_p
 
 from mckaylab.exactfield import (
     _MR_BOUND,
+    CertificateError,
     ExactFieldError,
     _irreducible,
     _monic,
     build_field,
+    cycles,
     ell_part,
     ell_val,
     group_order,
@@ -142,6 +147,43 @@ def test_mult_order_is_the_least_exponent(a, modulus):
     d = mult_order(a, modulus)
     assert pow(a, d, modulus) == 1
     assert all(pow(a, k, modulus) != 1 for k in range(1, d))
+
+
+def _brute_force_orbits(perm):
+    """The orbits of perm on range(len(perm)), as sets ordered by least member."""
+    orbits = []
+    for x in range(len(perm)):
+        orbit, y = {x}, x
+        for _ in range(len(perm)):
+            y = perm[y]
+            orbit.add(y)
+        if orbit not in orbits:
+            orbits.append(orbit)
+    return orbits
+
+
+def test_cycles_match_brute_force_orbits_on_random_permutations():
+    rng = random.Random(19)
+    for _ in range(300):
+        perm = list(range(rng.randrange(40)))
+        rng.shuffle(perm)
+        orbits = _brute_force_orbits(perm)
+        period = math.lcm(*map(len, orbits)) * rng.randint(1, 3)
+        got = list(cycles(len(perm), perm.__getitem__, period))
+        assert [set(c) for c in got] == orbits
+        for c in got:
+            assert c[0] == min(c)
+            assert [perm[x] for x in c] == c[1:] + c[:1]
+
+
+@pytest.mark.parametrize("images,period", [
+    ((1, 0, 0), 2),            # not injective: 2 walks into the cycle (0 1)
+    ((1, 2, 0), 4),            # a 3-cycle, but 3 does not divide 4
+    ((1, 2, 3, 4, 5, 0), 4),   # open: the walk is cut at period + 1 members
+])
+def test_cycles_raise_unless_every_walk_closes_within_the_period(images, period):
+    with pytest.raises(CertificateError, match="does not return"):
+        list(cycles(len(images), images.__getitem__, period))
 
 
 def test_order_for_ell_uses_mod_four_at_two():

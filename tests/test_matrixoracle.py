@@ -262,6 +262,15 @@ def test_build_group_rejects_bad_input():
         build_group("GL", 4, 7)
 
 
+def test_build_group_checks_the_limit_in_front_of_the_memo(monkeypatch):
+    assert build_group("GL", 2, 5).order == 480
+    monkeypatch.setattr(matrixoracle, "GROUP_SIZE_LIMIT", 100)
+    with pytest.raises(OracleError, match="exceeds limit 100"):
+        build_group("GL", 2, 5)
+    with pytest.raises(OracleError, match="exceeds limit 100"):
+        build_group("GL", 2, 7)
+
+
 # ---------------------------------------------------------------------------
 # matrix kernels against scalar arithmetic
 
