@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .exactfield import (
+    CertificateError,
     SignedPrimePower,
     cycles,
     ell_part,
@@ -39,8 +41,7 @@ from .ssclasses import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class GlobalChar:
+class GlobalChar(NamedTuple):
     """Jordan parameter: semisimple class plus one partition per factor."""
 
     cls: SSClass
@@ -120,7 +121,7 @@ class LabelTable:
 
     def ellprime(self, ell: int) -> tuple:
         """Positions of the characters of ell-prime degree."""
-        return tuple(i for i, d in enumerate(self.degrees) if ell_val(d, ell) == 0)
+        return tuple(i for i, d in enumerate(self.degrees) if d % ell)
 
 
 def label_table(chars: tuple, degree, central, shift, m1: int) -> LabelTable:
@@ -210,9 +211,14 @@ def count_irr_sl(n: int, sp: SignedPrimePower) -> int:
     """Number of irreducible characters of the det-one subgroup.
 
     Each translation orbit of size o contributes s = M_1/o constituents,
-    which is s^2/M_1 from each of its o members.
+    which is s^2/M_1 from each of its o members; a remainder means a
+    corrupt stabilizer column and raises CertificateError.
     """
-    return sum(s * s for s in group_table(n, sp).stabs) // eigen_modulus(1, sp)
+    count, rem = divmod(sum(s * s for s in group_table(n, sp).stabs),
+                        eigen_modulus(1, sp))
+    if rem:
+        raise CertificateError("stabilizer squares do not divide by M_1")
+    return count
 
 
 @cache

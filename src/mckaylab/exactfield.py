@@ -11,7 +11,7 @@ arithmetic; nothing here is approximate or probabilistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 
 FIELD_SIZE_LIMIT = 2**20
@@ -118,30 +118,32 @@ def prime_factors(n: int) -> list[int]:
 # signed prime powers
 
 
-@dataclass(frozen=True)
-class SignedPrimePower:
+class SignedPrimePower(namedtuple("SignedPrimePower", "eps p m q eq")):
     """A prime power q = p**m together with a sign eps in {+1, -1}.
 
     The sign selects the linear (+1) or unitary (-1) twist: group and torus
     order formulas below are polynomial identities in eps*q.  Construction
-    validates all three and stores q and eq = eps*q once.
+    validates all three and stores q and eq = eps*q once; a named tuple
+    hashes and compares in C, and pickles by (eps, p, m).
     """
 
-    eps: int
-    p: int
-    m: int
-    q: int = field(init=False, compare=False, repr=False)
-    eq: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isprime(self.p):
-            raise ExactFieldError(f"{self.p} is not prime")
-        if self.m < 1:
-            raise ExactFieldError(f"exponent {self.m} must be >= 1")
-        if self.eps not in (1, -1):
-            raise ExactFieldError(f"sign {self.eps} must be +1 or -1")
-        object.__setattr__(self, "q", self.p**self.m)
-        object.__setattr__(self, "eq", self.eps * self.q)
+    def __new__(cls, eps: int, p: int, m: int) -> SignedPrimePower:
+        if not isprime(p):
+            raise ExactFieldError(f"{p} is not prime")
+        if m < 1:
+            raise ExactFieldError(f"exponent {m} must be >= 1")
+        if eps not in (1, -1):
+            raise ExactFieldError(f"sign {eps} must be +1 or -1")
+        q = p**m
+        return super().__new__(cls, eps, p, m, q, eps * q)
+
+    def __getnewargs__(self) -> tuple[int, int, int]:
+        return self[:3]
+
+    def __repr__(self) -> str:
+        return f"SignedPrimePower(eps={self.eps}, p={self.p}, m={self.m})"
 
 
 def spp(eps: int, q: int) -> SignedPrimePower:
@@ -454,7 +456,9 @@ def ell_part(x: int, ell: int) -> tuple[int, int]:
 
 
 def ell_val(x: int, ell: int) -> int:
-    """The exponent of ell in |x|."""
+    """The exponent of ell in |x|; x must be nonzero and ell at least 2."""
+    if x == 0 or ell < 2:
+        raise ExactFieldError(f"no exponent of {ell} in {x}")
     v = 0
     x = abs(x)
     while x % ell == 0:
@@ -463,6 +467,7 @@ def ell_val(x: int, ell: int) -> int:
     return v
 
 
+@cache
 def order_for_ell(x: int, ell: int) -> int:
     """Order of x mod ell, with the usual modulus-4 convention at ell = 2."""
     return mult_order(x, 4 if ell == 2 else ell)

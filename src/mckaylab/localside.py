@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .charparams import (
     GlobalChar,
@@ -32,7 +33,6 @@ from .charparams import (
     group_table,
     index_order,
     label_table,
-    zhat_act,
 )
 from .exactfield import (
     CertificateError,
@@ -106,8 +106,7 @@ def theta_orbits(n: int, sp: SignedPrimePower, ell: int) -> tuple:
                  if least[theta] == theta)
 
 
-@dataclass(frozen=True, order=True)
-class LocalChar:
+class LocalChar(NamedTuple):
     """Clifford data: GL_m part, torus-orbit blocks, wreath labels.
 
     blocks is a sorted tuple of (orbit representative, multiplicity)
@@ -123,7 +122,8 @@ class LocalChar:
 @cache
 def enumerate_local_irr(n: int, sp: SignedPrimePower, ell: int) -> tuple:
     td = torus_data(n, sp, ell)
-    orbits = theta_orbits(n, sp, ell)
+    # a trivial torus (a = 0) has the one empty shape and reads no orbit
+    orbits = theta_orbits(n, sp, ell) if td.a else ()
 
     # Multisets of orbits with multiplicities summing to a; the stack pops
     # the last orbit first, listing shapes in depth-first recursive order.
@@ -196,10 +196,14 @@ def local_zhat_act(
     The determinant pulls the z-th central character back to the torus
     coordinate as the character with index sigma * z * Q / M_1, which is
     invariant under the eq-power action, so blocks shift rigidly and
-    the wreath labels ride along unchanged.
+    the wreath labels ride along unchanged.  The GL_m part moves along
+    the shift column of its own label table.
     """
     td = torus_data(n, sp, ell)
-    chi_m = zhat_act(psi.chi_m, sp, z)
+    table = group_table(td.m, sp)
+    i = table.index[psi.chi_m]
+    for _ in range(z % td.m1):
+        i = table.shift[i]
     delta = td.sigma * z * (td.Q // td.m1)
     moved = [
         ((canonical_theta(rep + delta, n, sp, ell), mult), eta)
@@ -207,7 +211,7 @@ def local_zhat_act(
     ]
     moved.sort(key=lambda pair: pair[0])
     return LocalChar(
-        chi_m,
+        table.chars[i],
         tuple(block for block, _ in moved),
         tuple(eta for _, eta in moved),
     )
@@ -255,7 +259,6 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
     raise TransportError with the offending factor.
     """
     td = torus_data(n, sp, ell)
-    least, size = eq_orbits(td.d0, sp)
     core_factors = []
     blocks = []
     for ((k, e_lab), mult), lam in zip(chi.cls.factors, chi.parts):
@@ -270,6 +273,7 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
                     f"factor of degree {k} with nonempty quotient, d0={td.d0}"
                 )
             mk = eigen_modulus(k, sp)
+            least, size = eq_orbits(td.d0, sp)
             rep = least[td.sigma * e_lab * (td.Q // mk) % td.Q]
             if size[rep] != k:
                 raise TransportError(

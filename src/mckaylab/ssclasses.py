@@ -12,21 +12,21 @@ k" excludes the embedded ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .exactfield import SignedPrimePower, cycles, factor_field, group_order
 
 Label = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True)
-class SSClass:
+class SSClass(NamedTuple):
     """Multiset of eigenvalue orbits: sorted ((k, e), multiplicity) pairs."""
 
     factors: tuple
 
 
+@cache
 def eigen_modulus(k: int, sp: SignedPrimePower) -> int:
     return abs(sp.q**k - sp.eps**k)
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -427,6 +428,50 @@ def _count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def test_cell_pickles_with_its_signed_prime_power():
+    # the --workers pool ships cells to its processes by pickle
+    cell = Cell(2, -1, 4, 5)
+    back = pickle.loads(pickle.dumps(cell))
+    assert back == cell and back.sp == cell.sp == spp(-1, 4)
+
+
+def _clear_local_tables():
+    for fn in (localside.local_table, localside.enumerate_local_irr,
+               localside.theta_orbits):
+        fn.cache_clear()
+
+
+def test_trivial_torus_reads_no_orbit_table(monkeypatch):
+    """GL_2(5) at ell = 7 has d0 = 6 > n, so a = 0 and no label reads the
+    eq-power orbits on Z/M_6; GL_3(7) at ell = 2 has a = 1 and reads them."""
+    cell = Cell(2, 1, 5, 7)
+    trivial = torus_data(2, cell.sp, 7)
+    assert (trivial.d0, trivial.a) == (6, 0)
+    before = check_cell(cell)
+    eq_orbits, read = localside.eq_orbits, []
+
+    def guarded(k, sp):
+        if k == 6:
+            raise AssertionError("orbit table read on a trivial torus")
+        read.append((k, sp))
+        return eq_orbits(k, sp)
+
+    monkeypatch.setattr(localside, "eq_orbits", guarded)
+    _clear_local_tables()
+    assert localside.local_table(2, cell.sp, 7).chars
+    assert cell_data(cell).pairs
+    after = check_cell(cell)
+    del before["ms"], after["ms"]
+    assert after == before and after["status"] == "ok"
+
+    wide = Cell(3, 1, 7, 2)
+    td = torus_data(3, wide.sp, 2)
+    assert td.a == 1
+    _clear_local_tables()
+    assert check_cell(wide, with_oracle=False)["status"] == "ok"
+    assert (td.d0, wide.sp) in read
 
 
 def test_check_cell_computes_each_degree_and_transport_once(monkeypatch):

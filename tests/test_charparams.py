@@ -1,10 +1,11 @@
 """Global character parameters: degrees, counts, descent to SL/SU."""
 
+import dataclasses
 import math
 
 import pytest
 
-from mckaylab import dixon
+from mckaylab import charparams, dixon
 from mckaylab.exactfield import CertificateError, ell_val, group_order, spp
 from mckaylab.matrixoracle import build_group
 from mckaylab.charparams import (
@@ -120,6 +121,17 @@ def test_sl_descent_counts_match_oracle():
     assert count_irr_sl(2, spp(1, 2)) == 3
     assert build_group("SL", 2, 3).conjugacy_classes().count == 7
     assert build_group("SU", 2, 2).conjugacy_classes().count == 3
+
+
+def test_sl_count_rejects_a_stabilizer_column_that_does_not_divide(monkeypatch):
+    sp = spp(1, 3)   # M_1 = 2: raising one stabilizer by 1 adds 2s + 1, odd
+    table = charparams.group_table(2, sp)
+    stabs = (table.stabs[0] + 1,) + table.stabs[1:]
+    corrupt = dataclasses.replace(table, stabs=stabs)
+    assert sum(s * s for s in stabs) % eigen_modulus(1, sp)
+    monkeypatch.setattr(charparams, "group_table", lambda n, sp: corrupt)
+    with pytest.raises(CertificateError):
+        count_irr_sl(2, sp)
 
 
 @pytest.mark.parametrize("n,eps,q", [

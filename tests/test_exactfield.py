@@ -1,6 +1,7 @@
 """Arithmetic helpers: signed prime powers, orders, field towers."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from mckaylab.exactfield import (
     _MR_BOUND,
     CertificateError,
     ExactFieldError,
+    SignedPrimePower,
     _irreducible,
     _monic,
     build_field,
@@ -123,6 +125,22 @@ def test_spp_rejects_bad_input():
         spp(1, 1)
 
 
+@pytest.mark.parametrize("args", [(1, 4, 1), (1, 2, 0), (2, 3, 1)])
+def test_signed_prime_power_validates_its_fields(args):
+    # a composite p, an exponent below 1 and a sign outside {+1, -1}
+    with pytest.raises(ExactFieldError):
+        SignedPrimePower(*args)
+
+
+def test_signed_prime_power_pickles_by_sign_prime_and_exponent():
+    sp = spp(-1, 4)
+    back = pickle.loads(pickle.dumps(sp))
+    assert back == sp and type(back) is SignedPrimePower
+    assert (back.q, back.eq) == (4, -4)
+    assert sp.__getnewargs__() == (-1, 2, 2)
+    assert repr(sp) == "SignedPrimePower(eps=-1, p=2, m=2)"
+
+
 def test_group_orders_match_known_values():
     assert group_order(2, spp(1, 3)) == 48
     assert group_order(3, spp(1, 2)) == 168
@@ -210,6 +228,14 @@ def test_ell_part_rejects_zero_and_composite_ell():
         ell_part(0, 2)
     with pytest.raises(ExactFieldError):
         ell_part(12, 4)
+
+
+def test_ell_val_rejects_zero_and_ell_below_two():
+    # both would loop forever: ell divides 0, and 1 divides everything
+    with pytest.raises(ExactFieldError):
+        ell_val(0, 3)
+    with pytest.raises(ExactFieldError):
+        ell_val(8, 1)
 
 
 def test_field_arithmetic_in_gf4():
