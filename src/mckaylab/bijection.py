@@ -450,13 +450,13 @@ def explicit_torus(G, ell: int):
     if b is None:
         raise OracleError(f"no regular element of order {Q} in degree {d0}")
     P0, P = _unit_basis(H), _unit_basis(G)
-    block = mat_mul(mat_mul(mat_inv(P0, F), b, F), P0, F)
+    block, P_inv = mat_mul(mat_mul(mat_inv(P0, F), b, F), P0, F), mat_inv(P, F)
     gens = []
     for i in range(0, td.a * d0, d0):
         D = [list(row) for row in G.identity]
         for r, c in product(range(d0), repeat=2):
             D[i + r][i + c] = block[r][c]
-        gens.append(mat_mul(mat_mul(P, D, F), mat_inv(P, F), F))
+        gens.append(mat_mul(mat_mul(P, D, F), P_inv, F))
     if not all(g in G and Q % G.element_order(g) == 0
                and all(G.mul(g, h) == G.mul(h, g) for h in gens) for g in gens):
         raise OracleError(f"the torus generators are not commuting elements "
@@ -482,7 +482,8 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
 
     Checks, for an oracle-buildable cell:
       * global degree multiset and the ell-prime count,
-      * |Irr_ell'(N(P))| for a Sylow ell-subgroup P equals the local count,
+      * |Irr_ell'(N(P))| for a Sylow ell-subgroup P of N_G(S0) equals the local
+        count (OracleError unless |P| = |G|_ell; N(P) is then often N_G(S0)),
       * the normalizer of the explicit torus has the predicted order, class
         count, degree multiset, and ell-prime count,
       * SL/SU class count equals the descent parameter count when buildable.
@@ -512,7 +513,12 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
     want_local_deg = sorted(local.degrees)
     want_local_lp = len(local.ellprime(ell))
 
-    P = sylow_subgroup(G, ell)
+    S0 = explicit_torus(G, ell)
+    NT = normalizer(G, S0)
+    P = sylow_subgroup(NT, ell)
+    if P.order != ell_part(G.order, ell)[0]:
+        raise OracleError(f"N_G(S0) of order {NT.order} holds no Sylow "
+                          f"{ell}-subgroup of G")
     NP = normalizer(G, P)
     np_table = dixon.character_table(NP)
     got_np_lp = len(dixon.irr_ellprime(np_table, ell))
@@ -520,8 +526,6 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
            oracle=got_np_lp, combinatorial=want_local_lp,
            normalizer_order=NP.order)
 
-    S0 = explicit_torus(G, ell)
-    NT = normalizer(G, S0)
     record("torus_normalizer_order", NT.order == local_order(n, sp, ell),
            oracle=NT.order, combinatorial=local_order(n, sp, ell))
     nt_table = dixon.character_table(NT)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
@@ -105,6 +106,14 @@ class CycContext:
                 for t in range(self.deg):
                     out[t] += c * zp[t]
         return tuple(out)
+
+    def from_powers(self, terms) -> tuple:
+        """sum c.zeta^e over (e, c) pairs: the image of an element of Z[C_N]."""
+        out = self.zero
+        for e, c in terms:
+            if c:
+                out = self.add(out, self.scal(c, self.zeta_pow[e]))
+        return out
 
     def galois(self, a: tuple, t: int) -> tuple:
         """Apply zeta -> zeta^t; a field automorphism when gcd(t, N) = 1."""
@@ -376,18 +385,21 @@ def _class_matrices(view, part, inv_class):
     in class j, for the representative z_k of class k.
 
     x runs over class i exactly when y = x^-1 runs over its inverse class
-    i* = inv_class[i], so no element is inverted: each representative gets
-    one right-multiplication map, applied to the members of every class.
+    i* = inv_class[i], so no element is inverted: the right-regular
+    permutation of each representative is read at every element position y,
+    which counts towards row class(y.z_k) of matrix inv_class[class(y)].
     """
     n = part.count
-    class_map = part.class_map
+    class_of = part.class_of
     mats = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for k, z in enumerate(part.reps):
-        times_z = view.right(z)
-        for i in range(n):
-            mat = mats[i]
-            for y in part.members[inv_class[i]]:
-                mat[class_map[times_z(y)]][k] += 1
+    # the pair (i, j) is encoded as the integer i * n + j
+    row_base = [inv_class[c] * n for c in class_of]
+    for z, perm in view.right_perms(part.reps):
+        k = part.class_map[z]
+        pairs = Counter(map(operator.add, row_base, map(class_of.__getitem__, perm)))
+        for ij, count in pairs.items():
+            i, j = divmod(ij, n)
+            mats[i][j][k] += count
     return mats
 
 
@@ -403,6 +415,17 @@ def _power_walks(view, part) -> list:
             x = times_z(x)
         walks.append(walk)
     return walks
+
+
+def _spectrum(col, idft, step: int, r: int) -> list:
+    """(exponent of zeta_N, multiplicity) of each eigenvalue of a class
+    representative: the inverse DFT mod r of the values col on its powers."""
+    spectrum = []
+    for j, idft_row in enumerate(idft):
+        m = sum(map(operator.mul, col, idft_row)) % r
+        if m:
+            spectrum.append((j * step, m))
+    return spectrum
 
 
 def character_table(view) -> CharacterTable:
@@ -455,45 +478,53 @@ def _build_table(view) -> CharacterTable:
     if sum(d * d for d in degrees) != order:
         raise CertificateError("sum of squared degrees is off")
 
-    # per class: the classes of its powers, the inverse-DFT rows mod r that
-    # turn the values on them into eigenvalue multiplicities, and the n_k-th
-    # roots of unity those multiplicities weigh
+    # per class k, the inverse-DFT rows mod r that turn the values on its
+    # powers into the multiplicities of the zeta_N^(j N/n_k); or, if its walk
+    # is an earlier class z's read at a unit t, z and t: z's spectrum times t
     w_root = _root_of_unity_mod(N, r)
-    lift_data = []
-    for power_class in power_classes:
-        n_k = len(power_class)
+    sources, dft, rational = [], {}, {}
+    for k, walk in enumerate(power_classes):
+        n_k = len(walk)
+        z, t = rational.get(k, (k, 1))
+        if z != k and len(power_classes[z]) == n_k and all(
+                walk[s] == power_classes[z][t * s % n_k] for s in range(n_k)):
+            sources.append((z, t))
+            continue
+        sources.append((k, 1))
         wk, inv_n = pow(w_root, N // n_k, r), pow(n_k, -1, r)
         scaled = [pow(wk, -t, r) * inv_n % r for t in range(n_k)]
         idft = tuple(tuple(scaled[j * t % n_k] for t in range(n_k)) for j in range(n_k))
-        lift_data.append((power_class, idft, ctx.zeta_pow[::N // n_k]))
+        dft[k] = (walk, idft, N // n_k)
+        for t in range(1, n_k):
+            if math.gcd(t, n_k) == 1:
+                rational.setdefault(walk[t], (k, t))
 
     chars = []
     for vals, d in zip(chars_mod, degrees):
-        row = []
-        for power_class, idft, roots in lift_data:
-            col = [vals[c] for c in power_class]
-            acc = ctx.zero
-            total = 0
-            for idft_row, root in zip(idft, roots):
-                m = sum(map(operator.mul, col, idft_row)) % r
-                if m:
-                    total += m
-                    acc = ctx.add(acc, ctx.scal(m, root))
-            if total != d:
+        row, spectra = [], []
+        for k, (z, t) in enumerate(sources):
+            if z == k:
+                walk, idft, step = dft[k]
+                spectrum = _spectrum([vals[c] for c in walk], idft, step, r)
+            else:
+                spectrum = [(e * t % N, m) for e, m in spectra[z]]
+            if sum(m for _, m in spectrum) != d:
                 raise CertificateError("eigenvalue multiplicities do not sum to the degree")
-            row.append(acc)
+            row.append(ctx.from_powers(spectrum))
+            spectra.append(spectrum)
+        # sum_k |C_k| chi(z_k) chi(z_k*) in Z[C_N], mapped to Z[zeta_N] once
+        coeffs = [0] * N
+        for size, spectrum, k_inv in zip(part.sizes, spectra, inv_class):
+            for e, m in spectrum:
+                for e_inv, m_inv in spectra[k_inv]:
+                    coeffs[(e + e_inv) % N] += size * m * m_inv
+        if ctx.from_powers(enumerate(coeffs)) != ctx.from_int(order):
+            raise CertificateError("character norm is not one")
         chars.append(tuple(row))
 
     if len(set(chars)) != n_classes:
         raise CertificateError("lifted characters are not distinct")
-    out = []
-    for row in chars:
-        norm = ctx.zero
-        for k in range(n_classes):
-            norm = ctx.add(norm, ctx.scal(part.sizes[k], ctx.mul(row[k], row[inv_class[k]])))
-        if norm != ctx.from_int(order):
-            raise CertificateError("character norm is not one")
-        out.append(ClassFunction(view, part, ctx, row))
+    out = [ClassFunction(view, part, ctx, row) for row in chars]
     out.sort(key=lambda c: (c.degree, c.values))
     return CharacterTable(view, part, ctx, tuple(out))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations, product
 
 from .exactfield import (
@@ -219,7 +219,9 @@ class GroupView:
     `right(b)` and `left(b)` return the maps a -> a.b and a -> b.a for one
     fixed factor b; a loop that reuses one factor makes its map once.  Used
     both for full matrix groups and for subgroups; conjugacy data and
-    the character table are computed lazily and cached on the instance.
+    the character table, and the generators' inverses, conjugation maps and
+    right-regular permutations, are computed lazily and kept on the instance.
+    The elements are sorted, so their positions order them.
     `_subgroups` maps sorted element tuples to views; a view and every
     subgroup view made from it share one such registry.
     """
@@ -235,6 +237,8 @@ class GroupView:
     _classes: object = field(default=None, repr=False)
     _table: object = field(default=None, repr=False, compare=False)
     _subgroups: dict = field(default=None, repr=False, compare=False)
+    _conjugations: tuple = field(default=None, repr=False, compare=False)
+    _regular: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -257,13 +261,70 @@ class GroupView:
     def element_order(self, g) -> int:
         return element_order(g, self.mul, self.identity)
 
+    @cached_property
+    def inverses(self) -> tuple:
+        """The inverse of each generator, computed once per view."""
+        return tuple(map(self.inv, self.generators))
+
+    def conjugations(self) -> tuple:
+        """Per generator g, the map from the position of x to that of
+        g.x.g^-1, filled on demand and kept on the view."""
+        if self._conjugations is None:
+            elements, index = self.elements, self.index
+            self._conjugations = tuple(
+                _Images(lambda i, a=self.left(g), b=self.right(g_inv):
+                        index[a(b(elements[i]))])
+                for g, g_inv in zip(self.generators, self.inverses))
+        return self._conjugations
+
+    def right_perms(self, targets):
+        """Yield (g, perm) for each target g, perm[i] the position of elements[i].g.
+
+        The generators' permutations (|V| products each) and a breadth-first
+        tree of words from the identity are kept on the view; OracleError is
+        raised unless the tree reaches every element.  Each perm is composed
+        along the tree by a depth-first walk over the targets' paths.
+        """
+        index = self.index
+        root = index[self.identity]
+        if self._regular is None:
+            perms = tuple(tuple(map(index.__getitem__, map(self.right(g), self.elements)))
+                          for g in self.generators)
+            tree = [None] * self.order   # position -> (parent, generator number)
+            tree[root] = (root, None)
+            frontier = [root]
+            for x in frontier:
+                for k, perm in enumerate(perms):
+                    y = perm[x]
+                    if tree[y] is None:
+                        tree[y] = (x, k)
+                        frontier.append(y)
+            if len(frontier) != self.order:
+                raise OracleError(f"generators reach {len(frontier)} of {self.order}")
+            self._regular = (perms, tree)
+        perms, tree = self._regular
+        wanted = {index[g]: g for g in targets}
+        children: dict = {}   # the targets' paths, as parent -> children
+        for x in wanted:
+            while x != root and x not in children.setdefault(tree[x][0], set()):
+                children[tree[x][0]].add(x)
+                x = tree[x][0]
+        stack = [(root, None)]   # each node with its parent's permutation
+        while stack:
+            x, above = stack.pop()
+            perm = (list(range(self.order)) if above is None
+                    else list(map(perms[tree[x][1]].__getitem__, above)))
+            if x in wanted:
+                yield wanted[x], perm
+            stack.extend((y, perm) for y in children.get(x, ()))
+
 
 @dataclass
 class ConjugacyPartition:
     reps: tuple
     sizes: tuple[int, ...]
     class_map: dict
-    members: tuple
+    class_of: tuple   # the class of each element position
 
     @property
     def count(self) -> int:
@@ -290,27 +351,28 @@ def _orbit(start, maps, limit: int) -> set:
 
 
 def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
-    """Orbits under conjugation by the view's generators.
+    """Orbits under conjugation by the view's generators, walked on element
+    positions with the view's conjugation maps.
 
     Classes are ordered identity first, then by (size, minimal member), and
     each representative is the minimal member, so the result is deterministic.
     """
-    conjugators = [lambda x, a=view.left(g), b=view.right(view.inv(g)): a(b(x))
-                   for g in view.generators]
+    conjugators = [conj.__getitem__ for conj in view.conjugations()]
     seen: set = set()
     classes = []
-    for start in view.elements:
+    for start in range(view.order):
         if start not in seen:
             orbit = _orbit(start, conjugators, view.order)
             seen.update(orbit)
-            classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: (cls[0] != view.identity, len(cls), cls[0]))
-    class_map = {x: k for k, cls in enumerate(classes) for x in cls}
+            classes.append(sorted(orbit))
+    classes.sort(key=lambda cls: (view.elements[cls[0]] != view.identity, len(cls), cls[0]))
+    owner = {x: k for k, cls in enumerate(classes) for x in cls}
+    class_of = tuple(map(owner.__getitem__, range(view.order)))
     return ConjugacyPartition(
-        reps=tuple(cls[0] for cls in classes),
-        sizes=tuple(len(cls) for cls in classes),
-        class_map=class_map,
-        members=tuple(classes),
+        reps=tuple(view.elements[cls[0]] for cls in classes),
+        sizes=tuple(map(len, classes)),
+        class_map=dict(zip(view.elements, class_of)),
+        class_of=class_of,
     )
 
 
@@ -532,29 +594,31 @@ def gamma_map(G: MatrixGroup, g: Matrix) -> Matrix:
 def normalizer(view: GroupView, sub: GroupView) -> GroupView:
     """N_view(sub) by orbit-stabilizer; sub must be a subgroup of view.
 
-    The conjugates of sub under the generators of view are enumerated,
-    keyed by their sorted elements, each conjugate T = t.sub.t^-1 with its
-    transversal element t and t^-1 (t' = g.t has t'^-1 = t^-1.g^-1).  The
-    normalizer has order |view| / |orbit| and is closed greedily from the
-    Schreier generators t'^-1.g.t, one for each generator g and conjugate T
-    whose image g.T.g^-1 = t'.sub.t'^-1 was reached before.  OracleError is
-    raised unless that closure has exactly this order and every kept
-    generator conjugates each generator of sub into sub.  Element
-    conjugations are kept for the call; conjugates share most elements.
+    The conjugates of sub under the generators of view are enumerated by the
+    view's conjugation maps, keyed by sorted element positions, each conjugate
+    T = t.sub.t^-1 with its transversal element t and t^-1 (t' = g.t has
+    t'^-1 = t^-1.g^-1).  The normalizer has order |view| / |orbit| and is
+    closed greedily from the Schreier generators t'^-1.g.t, one for each
+    generator g and conjugate T whose image g.T.g^-1 = t'.sub.t'^-1 was
+    reached before.  OracleError is raised if sub leaves view, and unless
+    that closure has exactly this order and is generated by elements that
+    conjugate each generator of sub into sub.
     """
-    steps = []
-    for g in view.generators:
-        g_times, times_gi = view.left(g), view.right(view.inv(g))
-        steps.append((g, g_times, times_gi,
-                      _Images(lambda x, a=g_times, b=times_gi: a(b(x)))))
-    transversal = {sub.elements: (view.identity, view.identity)}
+    try:
+        start = tuple(sorted(map(view.index.__getitem__, sub.elements)))
+    except KeyError:
+        raise OracleError("the subgroup has an element outside the group") from None
+    steps = [(g, view.left(g), view.right(g_inv), conj.__getitem__)
+             for g, g_inv, conj in zip(view.generators, view.inverses,
+                                       view.conjugations())]
+    transversal = {start: (view.identity, view.identity)}
     edges = []
-    frontier = [sub.elements]
+    frontier = [start]
     while frontier:
         conj = frontier.pop()
         t, t_inv = transversal[conj]
         for g, g_times, times_gi, conjugate in steps:
-            image = tuple(sorted(map(conjugate.__getitem__, conj)))
+            image = tuple(sorted(map(conjugate, conj)))
             if image not in transversal:
                 transversal[image] = (g_times(t), times_gi(t_inv))
                 frontier.append(image)
@@ -566,18 +630,19 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
     if rem:
         raise OracleError(f"orbit of {len(transversal)} conjugates does not "
                           f"divide |G| = {view.order}")
-    mul, inv = view.mul, view.inv
+    mul = view.mul
     schreier = (mul(transversal[image][1], mul(g, t)) for image, g, t in edges)
     kept, elements = find_generators(schreier, view.right, view.identity, order)
     sub_set = set(sub.elements)
     if len(elements) != order:
         raise OracleError(f"Schreier closure has {len(elements)} elements, "
                           f"expected |G| / |orbit| = {order}")
+    found = subgroup_view(view, elements, kept)
     if not all(mul(mul(n, s), n_inv) in sub_set
-               for n, n_inv in zip(kept, map(inv, kept))
+               for n, n_inv in zip(found.generators, found.inverses)
                for s in sub.generators):
         raise OracleError("a Schreier generator does not normalize the subgroup")
-    return subgroup_view(view, elements, kept)
+    return found
 
 
 def sylow_subgroup(view: GroupView, ell: int) -> GroupView:

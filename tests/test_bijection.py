@@ -519,6 +519,49 @@ def test_oracle_builds_each_table_once(monkeypatch):
     assert len(tables) == 1
 
 
+def test_sylow_and_torus_normalizers_share_one_table(monkeypatch):
+    """P is taken inside N_G(S0), so on GL(2,5) ell=3 its normalizer is the
+    torus normalizer's view: G and NT = NP are the only tables."""
+    build_group.cache_clear()
+    bijection.oracle_table.cache_clear()
+    tables = _count_calls(monkeypatch, dixon._build_table)
+    assert verify_vs_oracle(Cell(2, 1, 5, 3))["ok"] is True
+    assert len(tables) == 2
+
+
+@pytest.mark.frontier
+def test_a_sylow_normalizer_smaller_than_the_torus_normalizer_gets_its_table(
+        monkeypatch):
+    """On GU(3,3) ell=2, |N_G(P)| = 128 and |N_G(S0)| = 384: G, NT and NP
+    each build a table.  |G| = 24192 is past the default oracle limit, so
+    this runs with the frontier tests."""
+    build_group.cache_clear()
+    bijection.oracle_table.cache_clear()
+    tables = _count_calls(monkeypatch, dixon._build_table)
+    out = verify_vs_oracle(Cell(3, -1, 3, 2), oracle_limit=25000)
+    assert out["ok"] is True
+    assert out["sylow_normalizer_ellprime"]["normalizer_order"] == 128
+    assert out["torus_normalizer_order"]["oracle"] == 384
+    assert sorted(view.order for view, in tables) == [128, 384, 24192]
+
+
+def test_a_sylow_subgroup_short_of_the_ell_part_is_an_error(monkeypatch):
+    sylow = bijection.sylow_subgroup
+    cell = Cell(2, 1, 3, 2)
+
+    def first_generator_only(view, ell):
+        return matrixoracle.subgroup_closure(view, sylow(view, ell).generators[:1])
+
+    monkeypatch.setattr(bijection, "sylow_subgroup", first_generator_only)
+    G = build_group("GL", 2, 3)
+    assert 1 < first_generator_only(G, 2).order < 16
+    with pytest.raises(OracleError, match="holds no Sylow 2-subgroup"):
+        verify_vs_oracle(cell)
+    rep = bijection.run_cell(cell)
+    assert rep["status"] == "error"
+    assert "holds no Sylow 2-subgroup" in rep["witnesses"][0]["error"]
+
+
 def test_character_table_inverts_no_element_beyond_generators_and_classes(monkeypatch):
     """The class matrices read inverse classes, so a fresh view of GL_2(3)
     inverts its generators (for the conjugacy classes) and its class

@@ -37,7 +37,7 @@ def reference_class_matrices(view, part):
     mats = []
     for i in range(n):
         m = [[0] * n for _ in range(n)]
-        for x in part.members[i]:
+        for x in (x for x in view.elements if part.class_map[x] == i):
             for k, z in enumerate(part.reps):
                 m[part.class_map[view.mul(view.inv(x), z)]][k] += 1
         mats.append(m)
@@ -235,3 +235,59 @@ def test_wrong_charpoly_fails_the_table(monkeypatch):
     fresh = dataclasses.replace(build_group("GL", 2, 3), _table=None)
     with pytest.raises(CertificateError):
         dixon.character_table(fresh)
+
+
+def test_a_shifted_spectrum_fails_the_norm(monkeypatch):
+    """One eigenvalue of one class moved onto another: the multiplicities
+    still sum to the degree, but the character's norm is no longer one."""
+    right = dixon._spectrum
+    shifted = []
+
+    def shift_one(col, idft, step, r):
+        spectrum = right(col, idft, step, r)
+        if not shifted and len(spectrum) == 2:
+            shifted.append(spectrum)
+            (e, m), (_, m2) = spectrum
+            spectrum = [(e, m), (e, m2)]
+        return spectrum
+
+    monkeypatch.setattr(dixon, "_spectrum", shift_one)
+    fresh = dataclasses.replace(build_group("GL", 2, 3), _table=None)
+    with pytest.raises(CertificateError, match="character norm is not one"):
+        dixon.character_table(fresh)
+    assert shifted
+
+
+def test_a_broken_power_walk_gets_its_own_dft(monkeypatch):
+    """A class whose power walk is an earlier class's read at a unit reuses
+    that spectrum; once one entry of its walk is changed the check fails and
+    the class runs its own inverse DFT."""
+    G = build_group("GL", 2, 3)
+    part = G.conjugacy_classes()
+    walks = dixon._power_walks(G, part)
+    # a class of order 8 that is the inverse of an earlier class
+    k = next(k for k, walk in enumerate(walks)
+             if len(walk) == 8 and walk[-1] < k)
+    broken = list(walks[k])
+    broken[2] = 0
+    orders = []   # the order of each class that runs its own DFT
+    right = dixon._spectrum
+
+    def record(col, idft, step, r):
+        orders.append(len(col))
+        return right(col, idft, step, r)
+
+    def first_character_dfts(walks_seen):
+        orders.clear()
+        monkeypatch.setattr(dixon, "_power_walks", lambda view, part: walks_seen)
+        monkeypatch.setattr(dixon, "_spectrum", record)
+        try:
+            dixon.character_table(dataclasses.replace(G, _table=None))
+        except CertificateError:
+            pass
+        # every character starts with the identity class, of order 1
+        return orders[:orders.index(1, 1)] if orders.count(1) > 1 else orders
+
+    assert first_character_dfts(walks).count(8) == 1
+    corrupt = walks[:k] + [broken] + walks[k + 1:]
+    assert first_character_dfts(corrupt).count(8) == 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mckaylab import matrixoracle
+from mckaylab.bijection import explicit_torus
 from mckaylab.exactfield import build_field, ell_part, prime_factors
 from mckaylab.matrixoracle import (
     OracleError,
@@ -172,7 +173,7 @@ def test_conjugacy_partition_matches_a_plain_orbit_search(key):
     for view in (G, sylow_subgroup(G, 2)):
         part = conjugacy_partition(view)
         classes = reference_partition(view)
-        assert part.members == tuple(classes)
+        assert part.sizes == tuple(map(len, classes))
         assert part.reps == tuple(c[0] for c in classes)
         assert part.class_map == {x: k for k, c in enumerate(classes) for x in c}
 
@@ -217,6 +218,57 @@ def test_normalizer_rejects_a_short_schreier_closure(monkeypatch):
     monkeypatch.setattr(matrixoracle, "find_generators", first_candidate_only)
     with pytest.raises(OracleError):
         normalizer(G, P)
+
+
+def test_normalizer_rejects_a_foreign_subgroup():
+    G, H = build_group("GL", 2, 3), build_group("GL", 2, 5)
+    with pytest.raises(OracleError, match="outside the group"):
+        normalizer(G, sylow_subgroup(H, 3))
+
+
+def _torus_normalizer(kind, n, q, ell):
+    G = build_group(kind, n, q)
+    return normalizer(G, explicit_torus(G, ell))
+
+
+@pytest.mark.parametrize("view", [
+    lambda: build_group("GL", 2, 4),
+    lambda: build_group("GU", 2, 3),
+    lambda: _torus_normalizer("GL", 2, 5, 3),
+], ids=["GL(2,4)", "GU(2,3)", "NT of GL(2,5) ell=3"])
+def test_right_perms_are_right_multiplication_on_positions(view):
+    view = view()
+    index, reps = view.index, view.conjugacy_classes().reps
+    got = dict(view.right_perms(reps))
+    assert sorted(got) == sorted(reps)
+    for z, perm in got.items():
+        assert perm == [index[x] for x in map(view.right(z), view.elements)]
+    # the view keeps the generators' permutations and a tree of words
+    # (position -> (parent, generator number)), nothing per target
+    perms, tree = view._regular
+    assert perms == tuple(tuple(index[x] for x in map(view.right(g), view.elements))
+                          for g in view.generators)
+    root = index[view.identity]
+    assert tree[root] == (root, None)
+    assert all(perms[k][parent] == x for x, (parent, k) in enumerate(tree)
+               if x != root)
+
+
+def test_right_perms_need_generators_that_reach_every_element():
+    G = build_group("GL", 2, 3)
+    short = matrixoracle.GroupView(
+        elements=G.elements, generators=G.generators[:1], identity=G.identity,
+        mul=G.mul, inv=G.inv, right=G.right, left=G.left)
+    with pytest.raises(OracleError, match="reach"):
+        next(short.right_perms([G.identity]))
+
+
+def test_conjugation_maps_match_matrix_conjugation():
+    G = build_group("GL", 2, 3)
+    for g, conj in zip(G.generators, G.conjugations()):
+        g_inv = mat_inv(g, G.F)
+        for i, x in enumerate(G.elements):
+            assert G.elements[conj[i]] == mat_mul(mat_mul(g, x, G.F), g_inv, G.F)
 
 
 def test_automorphisms_are_multiplicative():
