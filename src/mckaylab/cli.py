@@ -257,52 +257,41 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
         lines.append(f"parity and weight symmetry hold for all {count} "
                      f"partitions of 1..{n}")
     else:
+        failures = payload["failures"] = []
+
+        def certify(lam, run):
+            """run(), or None with a failed certificate recorded for lam."""
+            try:
+                return run()
+            except ValueError as exc:
+                raise click.UsageError(str(exc))
+            except CertificateError as exc:
+                failures.append({"lambda": lam and list(lam), "error": str(exc)})
+                lines.append(f"lambda={lam}: FAIL {exc}" if lam else f"FAIL {exc}")
+
         if q is None:
             raise click.UsageError(f"--check {which} needs --q")
-        try:
-            spp(1, q)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        certify(None, lambda: spp(1, q))
         lams = ([_parse_lambda(lam_text, n)] if lam_text is not None
                 else list(partitions(n)))
         payload["q"] = q
         if which == "gamma-conj":
-            witnesses = []
+            witnesses = payload["witnesses"] = []
             for lam in lams:
-                try:
-                    _, g = gggr.check_gamma_conjugacy(lam, q)
-                except ValueError as exc:
-                    raise click.UsageError(str(exc))
-                except CertificateError as exc:
-                    failed = True
-                    lines.append(f"lambda={lam}: FAIL {exc}")
-                    continue
-                witnesses.append({"lambda": list(lam),
-                                  "witness": [list(r) for r in g]})
-                lines.append(f"lambda={lam}: witness found")
-            payload["witnesses"] = witnesses
+                if found := certify(lam, lambda: gggr.check_gamma_conjugacy(lam, q)):
+                    witnesses.append({"lambda": list(lam),
+                                      "witness": [list(r) for r in found[1]]})
+                    lines.append(f"lambda={lam}: witness found")
         elif which == "hom":
-            results = []
+            results = payload["results"] = []
             for lam in lams:
-                try:
-                    pairs = gggr.check_homomorphism(lam, q)
-                    evals = gggr.check_equivariance(lam, q)
-                except ValueError as exc:
-                    raise click.UsageError(str(exc))
-                except AssertionError as exc:
-                    failed = True
-                    lines.append(f"lambda={lam}: FAIL {exc}")
-                    continue
-                results.append({"lambda": list(lam), "pairs": pairs,
-                                "twist_evals": evals})
-                lines.append(f"lambda={lam}: {pairs} pairs, "
-                             f"{evals} twisted evaluations")
-            payload["results"] = results
-        else:
-            try:
-                res = gggr.check_multiplicity_one(n, q)
-            except ValueError as exc:
-                raise click.UsageError(str(exc))
+                if counts := certify(lam, lambda: (gggr.check_homomorphism(lam, q),
+                                                   gggr.check_equivariance(lam, q))):
+                    results.append({"lambda": list(lam), "pairs": counts[0],
+                                    "twist_evals": counts[1]})
+                    lines.append(f"lambda={lam}: {counts[0]} pairs, "
+                                 f"{counts[1]} twisted evaluations")
+        elif res := certify(None, lambda: gggr.check_multiplicity_one(n, q)):
             payload["all_covered"] = res["all_covered"]
             payload["regular_multfree"] = res["regular_multfree"]
             payload["multiplicities"] = {
@@ -314,6 +303,7 @@ def gggr_cmd(which, n, q, lam_text, out, fmt) -> None:
                          f"multiplicity one: {res['all_covered']}")
             for lam, m in res["multiplicities"].items():
                 lines.append(f"  lambda={lam}: {list(m)}")
+        failed = failed or bool(failures)
 
     payload["status"] = "fail" if failed else "ok"
     if fmt == "json":

@@ -15,24 +15,27 @@ come out of integer divisions that assert their own exactness.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from operator import mul
 
-from .exactfield import CertificateError, build_field, spp
+from .exactfield import CertificateError, build_field, sl_group_order, spp
 from .partitions import partitions
 from .ssclasses import enumerate_ss_classes
 from . import dixon
 from .bijection import oracle_table
 from .matrixoracle import (
     OracleError,
+    _gauss_jordan,
     _row_kernel,
-    build_group,
+    check_order_limit,
     frobenius_twist,
-    gamma_map,
     gamma_twist,
     identity_matrix,
+    mat_det,
+    mat_inv,
     mat_mul,
     mat_rank,
+    signed_reversal,
     subgroup_view,
 )
 
@@ -46,12 +49,8 @@ U2_SIZE_LIMIT = 10**5
 
 def weight_multiset(lam: tuple) -> tuple:
     """All basis weights, ascending, with ties ordered by Jordan block."""
-    items = []
-    for block, size in enumerate(lam):
-        for h in range(1 - size, size, 2):
-            items.append((h, block))
-    items.sort(key=lambda t: t[0])
-    return tuple(items)
+    return tuple(sorted(((h, block) for block, size in enumerate(lam)
+                         for h in range(1 - size, size, 2)), key=lambda t: t[0]))
 
 
 def weight_counts(lam: tuple) -> list:
@@ -103,15 +102,9 @@ def sweep_parity_symmetry(nmax: int) -> int:
 
 
 def _positions(lam: tuple, at_least: int, exact: bool = False) -> tuple:
-    basis = weight_multiset(lam)
-    n = len(basis)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            lev = basis[i][0] - basis[j][0]
-            if (lev == at_least) if exact else (lev >= at_least):
-                out.append((i, j))
-    return tuple(out)
+    h = [w for w, _ in weight_multiset(lam)]
+    return tuple((i, j) for i, hi in enumerate(h) for j, hj in enumerate(h)
+                 if (hi - hj == at_least if exact else hi - hj >= at_least))
 
 
 def u2_positions(lam: tuple) -> tuple:
@@ -133,9 +126,8 @@ def rep_unipotent(lam: tuple) -> tuple:
     weight h to the one of weight h+2, so every nonzero off-diagonal entry
     sits at an exact level-2 position.
     """
-    basis = weight_multiset(lam)
-    index = {hb: i for i, hb in enumerate(basis)}
-    n = len(basis)
+    index = {hb: i for i, hb in enumerate(weight_multiset(lam))}
+    n = len(index)
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for block, size in enumerate(lam):
         for h in range(1 - size, size - 2, 2):
@@ -153,12 +145,10 @@ def jordan_type(u, F) -> tuple:
     while ranks[-1] > 0:
         powm = mat_mul(powm, nil, F)
         ranks.append(mat_rank(powm, F))
-    # rank(N^(k-1)) - rank(N^k) counts the Jordan blocks of size >= k
-    ge = {k: ranks[k - 1] - ranks[k] for k in range(1, len(ranks))}
-    sizes = []
-    for size in range(len(ranks) - 1, 0, -1):
-        sizes.extend([size] * (ge.get(size, 0) - ge.get(size + 1, 0)))
-    return tuple(sizes)
+    # ge[k - 1] = rank(N^(k-1)) - rank(N^k) counts the blocks of size >= k
+    ge = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+    return tuple(size for size in range(len(ranks) - 1, 0, -1)
+                 for _ in range(ge[size - 1] - ge[size]))
 
 
 def field_trace(F, x: int) -> int:
@@ -180,37 +170,33 @@ def _traces(F) -> tuple:
 
 def psi_exponent(F, exact2: tuple, u_mat, g) -> int:
     """Exponent of the additive character at g, for the representative u_mat."""
-    s = 0
-    for i, j in exact2:
-        c = u_mat[i][j]
-        if c:
-            s += _traces(F)[F.mul(g[i][j], c)]
-    return (-s) % F.p
+    traces, mul = _traces(F), F.mul
+    return -sum(traces[mul(g[i][j], u_mat[i][j])] for i, j in exact2
+                if u_mat[i][j]) % F.p
 
 
-def u2_elements(lam: tuple, F) -> tuple:
-    """Every I + X with X supported on the level >= 2 positions, in the
-    lexicographic order of the entries at u2_positions(lam).
-
-    This set is already a group: products only spill into higher levels.
-    The positions run row by row, so the set is the product of its rows'
-    sets, and elements with an equal row share that row's tuple.
-    """
+def u2_rows(lam: tuple, F) -> tuple:
+    """The rows of U_2 at each row position, in the lexicographic order of
+    their entries at u2_positions(lam).  U_2, every I + X with X supported
+    on the level >= 2 positions, is their product, and a group: products
+    only spill into higher levels."""
     pos = u2_positions(lam)
-    n = sum(lam)
     if F.size ** len(pos) > U2_SIZE_LIMIT:
         raise OracleError("U_2 too large to enumerate")
+    n = sum(lam)
     row_sets = []
     for i in range(n):
         cols = [j for a, j in pos if a == i]
-        row_set = []
-        for vals in product(range(F.size), repeat=len(cols)):
-            row = [int(i == j) for j in range(n)]
-            for j, v in zip(cols, vals):
-                row[j] = v
-            row_set.append(tuple(row))
-        row_sets.append(row_set)
-    return tuple(product(*row_sets))
+        row_sets.append(tuple(
+            tuple(dict(zip(cols, vals)).get(j, int(i == j)) for j in range(n))
+            for vals in product(range(F.size), repeat=len(cols))))
+    return tuple(row_sets)
+
+
+def u2_elements(lam: tuple, F) -> tuple:
+    """Every element of U_2 in the lexicographic order of its entries at
+    u2_positions(lam); elements with an equal row share that row's tuple."""
+    return tuple(product(*u2_rows(lam, F)))
 
 
 def u2_generators(lam: tuple, F) -> tuple:
@@ -220,13 +206,9 @@ def u2_generators(lam: tuple, F) -> tuple:
     GF(p), so these elements generate U_2.
     """
     n = sum(lam)
-    out = []
-    for (i, j) in u2_positions(lam):
-        for t in range(F.k):
-            m = [[int(a == b) for b in range(n)] for a in range(n)]
-            m[i][j] = F.p**t
-            out.append(tuple(tuple(row) for row in m))
-    return tuple(out)
+    return tuple(tuple(tuple(F.p**t if (a, b) == (i, j) else int(a == b)
+                             for b in range(n)) for a in range(n))
+                 for i, j in u2_positions(lam) for t in range(F.k))
 
 
 # ---------------------------------------------------------------------------
@@ -241,81 +223,90 @@ def check_representative(lam: tuple, q: int) -> bool:
 
 
 def check_homomorphism(lam: tuple, q: int) -> int:
-    """psi_u is multiplicative on U_2^F; returns the number of pairs checked.
+    """psi_u is multiplicative on U_2^F; returns |U_2| times the number of
+    partners h.
 
-    The partners h are all of U_2 when |U_2| <= HOM_EXHAUSTIVE_LIMIT, and
-    otherwise the one-position generators of u2_generators.  A breadth-first
-    walk from the identity checks g.h for every partner h at every element g
-    it reaches, and every element must be reached: so the partners generate
-    U_2, and the identity holds on all of U_2 by induction on word length.
-    A product outside U_2 also fails the certificate.
-
-    Elements are handled as tuples of row ids.  Row i of g.h depends only
-    on row i of g, so each partner maps every distinct row once, and a
-    product is the tuple of its rows' images.
+    U_2 is the product of its row sets R_i, psi_u the sum of row exponents
+    e_i (checked against psi_exponent on every element), and row i of g.h
+    is row_i(g).h.  So g.h lies in U_2 with psi(g.h) = psi(g) + psi(h) for
+    every g exactly when h maps each R_i into R_i with e_i(r.h) - e_i(r)
+    one constant c_i, and the c_i sum to psi(h): a sum over a product set
+    is constant only when each summand is.  The partners are all of U_2 up
+    to HOM_EXHAUSTIVE_LIMIT elements, else the one-position generators of
+    u2_generators, which a breadth-first walk from the identity must
+    certify to generate U_2.
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
-    els = u2_elements(lam, F)
-    u = rep_unipotent(lam)
-    exact2 = exact2_positions(lam)
-    rows = list(dict.fromkeys(chain.from_iterable(els)))
-    row_id = {row: k for k, row in enumerate(rows)}
-    ids = [tuple(map(row_id.__getitem__, g)) for g in els]
-    index = {g: k for k, g in enumerate(ids)}
-    exps = [psi_exponent(F, exact2, u, g) for g in els]
+    row_sets = u2_rows(lam, F)
+    els = tuple(product(*row_sets))
+    u, exact2 = rep_unipotent(lam), exact2_positions(lam)
+    p, traces, mul = F.p, _traces(F), F.mul
+    row_exps = [[-sum(traces[mul(row[j], u[i][j])]
+                      for a, j in exact2 if a == i and u[i][j]) % p for row in rows]
+                for i, rows in enumerate(row_sets)]
+    if ([psi_exponent(F, exact2, u, g) for g in els]
+            != [sum(es) % p for es in product(*row_exps)]):
+        raise CertificateError(f"psi_u is not the sum of its rows at {lam}, q={q}")
+    row_ids = [{row: k for k, row in enumerate(rows)} for rows in row_sets]
     partners = els if len(els) <= HOM_EXHAUSTIVE_LIMIT else u2_generators(lam, F)
-    images = []
+    maps = []
     for h in partners:
-        k = index.get(tuple(row_id.get(row, -1) for row in h))
-        if k is None:
+        ids = list(map(dict.get, row_ids, h))
+        if None in ids:
             raise CertificateError(f"a partner lies outside U_2 at {lam}, q={q}")
-        kernel = _row_kernel(h, F)
-        image = [row_id.get(kernel(row), -1) for row in rows]
-        images.append((image.__getitem__, exps[k]))
-    p = F.p
-    start = index[tuple(row_id[row] for row in identity_matrix(sum(lam)))]
-    seen, layer = {start}, [start]
-    while layer:
-        # the layer's row ids by row position, and its psi exponents
-        columns = list(zip(*map(ids.__getitem__, layer)))
-        layer_exps = list(map(exps.__getitem__, layer))
-        fresh = set()
-        for image, e_h in images:
-            # g.h for every g in the layer, as an index into els
-            prods = list(map(index.get, zip(*[map(image, col) for col in columns])))
-            if None in prods:
+        kernel, images = _row_kernel(h, F), []
+        excess = sum(map(list.__getitem__, row_exps, ids))   # psi(h) - sum c_i
+        for rows, index, es in zip(row_sets, row_ids, row_exps):
+            image = [index.get(kernel(row)) for row in rows]
+            if None in image:
                 raise CertificateError(f"a product leaves U_2 at {lam}, q={q}")
-            if (list(map(exps.__getitem__, prods))
-                    != [(e + e_h) % p for e in layer_exps]):
-                raise CertificateError(f"psi_u not multiplicative at {lam}, q={q}")
-            fresh.update(prods)
-        layer = list(fresh - seen)
-        seen.update(layer)
-    if len(seen) != len(els):
-        raise CertificateError(f"the partners do not generate U_2 at {lam}, q={q}")
-    return len(seen) * len(partners)
+            shifts = {(es[t] - e) % p for t, e in zip(image, es)}
+            if len(shifts) > 1:
+                break
+            excess -= shifts.pop()
+            images.append(image.__getitem__)
+        if len(shifts) > 1 or excess % p:
+            raise CertificateError(f"psi_u not multiplicative at {lam}, q={q}")
+        maps.append(images)
+    if partners is not els:
+        # elements as tuples of row ids; the identity's rows come first
+        layer = [(0,) * len(row_sets)]
+        seen = set(layer)
+        while layer:
+            columns = list(zip(*layer))
+            layer = {g for images in maps
+                     for g in zip(*map(map, images, columns))} - seen
+            seen |= layer
+        if len(seen) != len(els):
+            raise CertificateError(f"the partners do not generate U_2 at {lam}, q={q}")
+    return len(els) * len(partners)
 
 
 def check_equivariance(lam: tuple, q: int) -> int:
     """psi_u(g) = psi_{sigma(u)}(sigma(g)) for the field and graph twists.
 
-    Each twisted element must lie in U_2 again.  Returns the number of
+    Each twisted element must lie in U_2 again.  One inversion serves each
+    pair g, g^-1: with h = (g^T)^-1 = (g^-1)^T, gamma(g) is the signed
+    reversal of h and gamma(g^-1) that of g^T.  Returns the number of
     (sigma, g) evaluations certified.
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
     els = u2_elements(lam, F)
-    u = rep_unipotent(lam)
-    exact2 = exact2_positions(lam)
+    u, exact2 = rep_unipotent(lam), exact2_positions(lam)
     exps = {g: psi_exponent(F, exact2, u, g) for g in els}
-    twists = [
-        (lambda g: frobenius_twist(g, F)),
-        (lambda g: gamma_twist(g, F)),
-    ]
+    gammas = {}
+    for g in els:
+        if g not in gammas:
+            gt = tuple(zip(*g))
+            h = mat_inv(gt, F)
+            gammas[g] = signed_reversal(h, F)
+            if (g_inv := tuple(zip(*h))) != g:
+                gammas[g_inv] = signed_reversal(gt, F)
     checked = 0
-    for twist in twists:
-        tu = twist(u)
+    for tu, twist in ((frobenius_twist(u, F), lambda g: frobenius_twist(g, F)),
+                      (gamma_twist(u, F), gammas.__getitem__)):
         for g, e in exps.items():
             tg = twist(g)
             if tg not in exps:
@@ -327,22 +318,56 @@ def check_equivariance(lam: tuple, q: int) -> int:
 
 
 def check_gamma_conjugacy(lam: tuple, q: int):
-    """A witness g in SL_n(q) conjugating u to its graph twist.
+    """The first g of the sorted SL_n(q) with g.u = gamma(u).g.  Raises
+    OracleError past the oracle limit, and CertificateError if there is
+    none; that would contradict the rationality of the twisted class.
 
-    Raises OracleError if SL_n(q) is past the oracle limit, and
-    CertificateError if no witness exists; that would contradict the
-    rationality of the twisted class.
+    SL_n(q) is not built.  Reduced over its unknowns in reverse row-major
+    order, the system X.u = gamma(u).X gives one null vector per free
+    unknown, with its 1 there and nonzeros only at later pivots: a reduced
+    echelon basis, so coefficients in lexicographic order list the
+    solutions in lexicographic order.  Row r of X depends only on the
+    coefficients with their 1 in rows 0..r; an exhaustive depth-first walk
+    picks those a row at a time and drops prefixes of dependent rows.
     """
-    n = sum(lam)
-    S = build_group("SL", n, q)
+    n, sp = sum(lam), spp(1, q)
+    check_order_limit(sl_group_order(n, sp))
+    F = build_field(sp.p, sp.m)
     u = rep_unipotent(lam)
-    if u not in S.index:
-        raise CertificateError("representative is not in SL")
-    times_u, target_times = S.right(u), S.left(gamma_map(S, u))
-    for g in S.elements:
-        if times_u(g) == target_times(g):
-            return u, g
-    raise CertificateError(f"no gamma-conjugating witness for {lam}, q={q}")
+    target = gamma_twist(u, F)
+    if mat_det(u, F) != 1 or mat_det(target, F) != 1:
+        raise CertificateError("representative or its twist is not in SL")
+    # equation (i, j) of X.u - target.X = 0; unknown X[a][b] in reverse order
+    eqs = [[F.sub(u[b][j] * (a == i), target[i][a] * (b == j))
+            for a in reversed(range(n)) for b in reversed(range(n))]
+           for i in range(n) for j in range(n)]
+    rank = _gauss_jordan(eqs, n * n, F)[0]
+    pivot_eq = {eq.index(1): eq for eq in eqs[:rank]}
+    basis = [[F.neg(pivot_eq[c][free]) if c in pivot_eq else int(c == free)
+              for c in reversed(range(n * n))]
+             for free in reversed(range(n * n)) if free not in pivot_eq]
+    # the first ends[r] coefficients fix rows 0..r of X; rows_of[r] gives row r
+    ends = [sum(vec.index(1) < (r + 1) * n for vec in basis) for r in range(n)]
+    rows_of = [_row_kernel([vec[r * n:(r + 1) * n] for vec in basis[:ends[r]]], F)
+               for r in range(n)]
+
+    def walk(rows: tuple, coeffs: tuple):
+        r = len(rows)
+        if r == n:
+            if mat_det(rows, F) == 1:
+                yield rows
+            return
+        for new in product(range(F.size), repeat=ends[r] - len(coeffs)):
+            prefix = rows + (rows_of[r](coeffs + new),)
+            if mat_rank(prefix, F) > r:
+                yield from walk(prefix, coeffs + new)
+
+    g = next(walk((), ()), None)
+    if g is None:
+        raise CertificateError(f"no gamma-conjugating witness for {lam}, q={q}")
+    if mat_mul(g, u, F) != mat_mul(target, g, F):
+        raise CertificateError(f"the witness does not conjugate at {lam}, q={q}")
+    return u, g
 
 
 @cache
@@ -358,30 +383,23 @@ def gggr_multiplicities(n: int, q: int, lam: tuple) -> tuple:
     view = subgroup_view(G, els)
     sub_part = view.conjugacy_classes()
     ctx = table.ctx
-    u = rep_unipotent(lam)
-    exact2 = exact2_positions(lam)
+    u, exact2 = rep_unipotent(lam), exact2_positions(lam)
     step = ctx.N // F.p
-    values = tuple(
-        ctx.root_of_unity(psi_exponent(F, exact2, u, rep) * step)
-        for rep in sub_part.reps
-    )
+    values = tuple(ctx.root_of_unity(psi_exponent(F, exact2, u, rep) * step)
+                   for rep in sub_part.reps)
     psi = dixon.ClassFunction(view=view, part=sub_part, ctx=ctx, values=values)
     ind = dixon.induce(psi, G)
     e1 = e1_count(lam)
     if e1 % 2 or ind.degree != G.order // len(els):
         raise CertificateError(f"odd e_1 or wrong induced degree at {lam}, q={q}")
     scale = q ** (e1 // 2)
-    mults = []
-    for chi in table.chars:
-        raw = dixon.inner(ind, chi)
-        m, rem = divmod(raw, scale)
-        if rem:
-            raise CertificateError(f"inexact multiplicity at {lam}, q={q}")
-        mults.append(m)
-    expected_deg = (G.order // len(els)) // scale
-    if sum(m * chi.degree for m, chi in zip(mults, table.chars)) != expected_deg:
+    mults, rems = zip(*(divmod(dixon.inner(ind, chi), scale) for chi in table.chars))
+    if any(rems):
+        raise CertificateError(f"inexact multiplicity at {lam}, q={q}")
+    degree = sum(m * chi.degree for m, chi in zip(mults, table.chars))
+    if degree != G.order // len(els) // scale:
         raise CertificateError(f"multiplicities miss the degree at {lam}, q={q}")
-    return tuple(mults)
+    return mults
 
 
 def check_multiplicity_one(n: int, q: int) -> dict:
@@ -392,27 +410,19 @@ def check_multiplicity_one(n: int, q: int) -> dict:
     semisimple class, and the trivial class gives the regular character.
     """
     G, table = oracle_table("GL", n, q)
-    lams = partitions(n)
-    by_lam = {lam: gggr_multiplicities(n, q, lam) for lam in lams}
+    by_lam = {lam: gggr_multiplicities(n, q, lam) for lam in partitions(n)}
 
-    covered = []
-    for idx in range(len(table.chars)):
-        covered.append(any(by_lam[lam][idx] == 1 for lam in lams))
-
+    covered = tuple(1 in ms for ms in zip(*by_lam.values()))
     regular = by_lam[(n,)]
-    regular_multfree = all(m <= 1 for m in regular)
-    n_ss = len(enumerate_ss_classes(n, spp(1, q)))
-    trivial_lam = by_lam[tuple([1] * n)]
-    regular_rep = all(m == chi.degree
-                      for m, chi in zip(trivial_lam, table.chars))
     return {
         "n": n,
         "q": q,
         "all_covered": all(covered),
-        "covered": tuple(covered),
-        "multiplicities": {lam: by_lam[lam] for lam in lams},
-        "regular_multfree": regular_multfree,
+        "covered": covered,
+        "multiplicities": by_lam,
+        "regular_multfree": all(m <= 1 for m in regular),
         "regular_constituents": sum(1 for m in regular if m),
-        "n_ss_classes": n_ss,
-        "trivial_gives_regular_rep": regular_rep,
+        "n_ss_classes": len(enumerate_ss_classes(n, spp(1, q))),
+        "trivial_gives_regular_rep": all(
+            m == chi.degree for m, chi in zip(by_lam[(1,) * n], table.chars)),
     }

@@ -189,7 +189,8 @@ def mat_det(a: Matrix, F: FiniteField) -> int:
 
 
 def mat_rank(a: Matrix, F: FiniteField) -> int:
-    return _gauss_jordan([list(row) for row in a], len(a), F)[0]
+    """Rank of a matrix of any shape, pivoting over all of its columns."""
+    return _gauss_jordan([list(row) for row in a], len(a[0]) if a else 0, F)[0]
 
 
 def conj_transpose(a: Matrix, F: FiniteField, q: int) -> Matrix:
@@ -504,9 +505,14 @@ def build_group(kind: str, n: int, q: int) -> MatrixGroup:
         raise OracleError(f"n={n} must be >= 1")
     sp = spp(-1 if kind in ("GU", "SU") else 1, q)
     expected = sl_group_order(n, sp) if kind in ("SL", "SU") else group_order(n, sp)
-    if expected > GROUP_SIZE_LIMIT:
-        raise OracleError(f"group order {expected} exceeds limit {GROUP_SIZE_LIMIT}")
+    check_order_limit(expected)
     return _build_group(kind, n, sp, expected)
+
+
+def check_order_limit(order: int) -> None:
+    """Raise OracleError for a group order past GROUP_SIZE_LIMIT."""
+    if order > GROUP_SIZE_LIMIT:
+        raise OracleError(f"group order {order} exceeds limit {GROUP_SIZE_LIMIT}")
 
 
 @cache
@@ -559,16 +565,18 @@ def frobenius_twist(g: Matrix, F: FiniteField) -> Matrix:
     return tuple(tuple(map(frobenius, row)) for row in g)
 
 
-def gamma_twist(g: Matrix, F: FiniteField) -> Matrix:
-    """The twist gamma(g) = v0 . (g^T)^(-1) . v0^(-1) for v0 = form_matrix.
-
-    v0 is antidiagonal with entries (-1)^i in row i, so with h = (g^T)^(-1)
-    the twist is the signed reversal (-1)^(i+j) h[n-1-i][n-1-j].
-    """
+def signed_reversal(h: Matrix, F: FiniteField) -> Matrix:
+    """v0 . h . v0^(-1) = (-1)^(i+j) h[n-1-i][n-1-j] for the antidiagonal
+    v0 = form_matrix, with entries (-1)^i in row i."""
     neg = F.neg
     return tuple(
         tuple(x if (i + j) % 2 == 0 else neg(x) for j, x in enumerate(reversed(row)))
-        for i, row in enumerate(reversed(mat_inv(tuple(zip(*g)), F))))
+        for i, row in enumerate(reversed(h)))
+
+
+def gamma_twist(g: Matrix, F: FiniteField) -> Matrix:
+    """gamma(g) = v0 . (g^T)^(-1) . v0^(-1), the signed reversal of (g^T)^(-1)."""
+    return signed_reversal(mat_inv(tuple(zip(*g)), F), F)
 
 
 def frobenius_map(G: MatrixGroup, g: Matrix) -> Matrix:
@@ -576,14 +584,6 @@ def frobenius_map(G: MatrixGroup, g: Matrix) -> Matrix:
     out = frobenius_twist(g, G.F)
     if out not in G.index:
         raise OracleError("Frobenius image left the group")
-    return out
-
-
-def gamma_map(G: MatrixGroup, g: Matrix) -> Matrix:
-    """gamma_twist on G, checked to stay inside G."""
-    out = gamma_twist(g, G.F)
-    if out not in G.index:
-        raise OracleError("gamma image left the group")
     return out
 
 

@@ -380,6 +380,52 @@ def test_gggr_gamma_conj_reports_a_missing_witness_as_a_failure(monkeypatch):
     assert "FAIL no gamma-conjugating witness" in res.output
 
 
+def test_gggr_mult_one_reports_a_failed_certificate_as_a_failure(monkeypatch):
+    def inexact(n, q):
+        raise CertificateError(f"inexact multiplicity at (2,), q={q}")
+
+    monkeypatch.setattr(gggr, "check_multiplicity_one", inexact)
+    res = run("gggr", "--check", "mult-one", "--n", "2", "--q", "3")
+    assert res.exit_code == 1
+    assert "FAIL inexact multiplicity" in res.output
+    res = run("gggr", "--check", "mult-one", "--n", "2", "--q", "3",
+              "--format", "json")
+    assert res.exit_code == 1
+    payload = json.loads(res.output)
+    assert payload["status"] == "fail"
+    assert payload["failures"] == [
+        {"lambda": None, "error": "inexact multiplicity at (2,), q=3"}]
+
+
+@pytest.mark.parametrize("check,name", [("gamma-conj", "check_gamma_conjugacy"),
+                                        ("hom", "check_equivariance")])
+def test_gggr_json_lists_every_failure(monkeypatch, check, name):
+    real = getattr(gggr, name)
+
+    def fails_at_two(lam, q):
+        if lam == (2,):
+            raise CertificateError(f"broken at {lam}")
+        return real(lam, q)
+
+    monkeypatch.setattr(gggr, name, fails_at_two)
+    res = run("gggr", "--check", check, "--n", "2", "--q", "3",
+              "--format", "json")
+    assert res.exit_code == 1
+    payload = json.loads(res.output)
+    assert payload["status"] == "fail"
+    assert payload["failures"] == [{"lambda": [2], "error": "broken at (2,)"}]
+    kept = payload["witnesses" if check == "gamma-conj" else "results"]
+    assert [entry["lambda"] for entry in kept] == [[1, 1]]
+
+
+def test_gggr_json_lists_no_failure_when_every_certificate_holds():
+    for check in ("gamma-conj", "hom", "mult-one"):
+        res = run("gggr", "--check", check, "--n", "2", "--q", "2",
+                  "--format", "json")
+        assert res.exit_code == 0, check
+        assert json.loads(res.output)["failures"] == [], check
+
+
 @st.composite
 def invalid_grid_rows(draw):
     """A valid row [n, eps, q, ell] with one parameter made invalid."""

@@ -4,9 +4,9 @@ from collections import Counter
 
 import pytest
 
-from mckaylab import gggr
+from mckaylab import gggr, matrixoracle
 from mckaylab.exactfield import CertificateError, build_field, spp
-from mckaylab.matrixoracle import build_group, gamma_map
+from mckaylab.matrixoracle import OracleError, build_group, gamma_twist
 from mckaylab.partitions import partitions
 
 
@@ -121,6 +121,38 @@ def test_generator_walk_fails_without_one_position(monkeypatch):
         gggr.check_homomorphism((3, 1), 2)
 
 
+@pytest.mark.parametrize("exhaustive_limit", [1000, 0])
+def test_homomorphism_fails_on_a_row_shift_that_is_not_constant(
+        monkeypatch, exhaustive_limit):
+    # the trace of 1 in GF(3) read as 0: psi_exponent and the row exponents
+    # still agree, but the partner I + E_10 shifts row (x, 1) by
+    # e(x+1) - e(x), which is 0 at x = 0 and 1 at x = 1
+    traces = gggr._traces
+    monkeypatch.setattr(gggr, "_traces", lambda F: (0, 0) + traces(F)[2:])
+    monkeypatch.setattr(gggr, "HOM_EXHAUSTIVE_LIMIT", exhaustive_limit)
+    with pytest.raises(CertificateError, match="not multiplicative"):
+        gggr.check_homomorphism((2,), 3)
+
+
+@pytest.mark.parametrize("exhaustive_limit", [1000, 0])
+def test_homomorphism_fails_when_the_row_shifts_miss_psi_of_the_partner(
+        monkeypatch, exhaustive_limit):
+    # every trace of GF(3) plus 1: each row shift e(r.h) - e(r) is constant,
+    # but for h = I + E_10 the shifts sum to 2 while psi(h) = 1
+    traces = gggr._traces
+    monkeypatch.setattr(gggr, "_traces",
+                        lambda F: tuple((t + 1) % 3 for t in traces(F)))
+    monkeypatch.setattr(gggr, "HOM_EXHAUSTIVE_LIMIT", exhaustive_limit)
+    with pytest.raises(CertificateError, match="not multiplicative"):
+        gggr.check_homomorphism((2,), 3)
+
+
+def test_homomorphism_fails_when_psi_is_not_the_sum_of_its_rows(monkeypatch):
+    monkeypatch.setattr(gggr, "psi_exponent", lambda F, exact2, u, g: 1)
+    with pytest.raises(CertificateError, match="sum of its rows"):
+        gggr.check_homomorphism((2,), 3)
+
+
 def test_homomorphism_fails_on_a_partner_outside_u2(monkeypatch):
     gens = gggr.u2_generators
     monkeypatch.setattr(gggr, "u2_generators", lambda lam, F: tuple(
@@ -161,6 +193,25 @@ def test_gamma_conjugacy_witnesses(n, q):
         assert sum(lam) == n and len(g) == n
 
 
+def test_gamma_conjugacy_never_builds_a_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(matrixoracle, "build_group", refuse)
+    monkeypatch.setattr(matrixoracle, "_build_group", refuse)
+    for n, q in [(2, 3), (3, 3), (4, 2), (2, 5)]:
+        for lam in partitions(n):
+            u, g = gggr.check_gamma_conjugacy(lam, q)
+            assert len(g) == n
+
+
+def test_gamma_conjugacy_keeps_the_group_order_limit(monkeypatch):
+    monkeypatch.setattr(matrixoracle, "GROUP_SIZE_LIMIT", 23)
+    with pytest.raises(OracleError, match="group order 24 exceeds limit 23"):
+        gggr.check_gamma_conjugacy((2,), 3)
+    assert gggr.check_gamma_conjugacy((2,), 2)[1] == ((1, 0), (0, 1))
+
+
 def test_gggr_multiplicities_frozen():
     assert gggr.gggr_multiplicities(2, 2, (2,)) == (1, 0, 1)
     assert gggr.gggr_multiplicities(2, 2, (1, 1)) == (1, 1, 2)
@@ -190,8 +241,13 @@ def test_regular_class_sum_is_twenty_one_dimensional():
 
 
 def test_gamma_conjugacy_returns_the_first_witness_of_a_plain_scan():
-    S = build_group("SL", 3, 3)
-    u = gggr.rep_unipotent((3,))
-    target = gamma_map(S, u)
-    first = next(g for g in S.elements if S.mul(g, u) == S.mul(target, g))
-    assert gggr.check_gamma_conjugacy((3,), 3) == (u, first)
+    # every partition of the five groups of acceptance criterion 7
+    for n, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        S = build_group("SL", n, q)
+        for lam in partitions(n):
+            u = gggr.rep_unipotent(lam)
+            target = gamma_twist(u, S.F)
+            assert u in S.index and target in S.index
+            times_u, target_times = S.right(u), S.left(target)
+            first = next(g for g in S.elements if times_u(g) == target_times(g))
+            assert gggr.check_gamma_conjugacy(lam, q) == (u, first), (lam, q)

@@ -5,6 +5,8 @@ from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from mckaylab import matrixoracle
 from mckaylab.bijection import explicit_torus
@@ -16,7 +18,6 @@ from mckaylab.matrixoracle import (
     conjugacy_partition,
     form_matrix,
     frobenius_map,
-    gamma_map,
     gamma_twist,
     identity_matrix,
     left_mul,
@@ -271,13 +272,20 @@ def test_conjugation_maps_match_matrix_conjugation():
             assert G.elements[conj[i]] == mat_mul(mat_mul(g, x, G.F), g_inv, G.F)
 
 
+def gamma_in(G, g):
+    """gamma_twist of g, asserted to lie in G."""
+    out = gamma_twist(g, G.F)
+    assert out in G.index
+    return out
+
+
 def test_automorphisms_are_multiplicative():
     G = build_group("GU", 2, 2)
     sample = G.elements[:6]
     for g in sample:
         for h in sample:
-            assert gamma_map(G, G.mul(g, h)) \
-                == G.mul(gamma_map(G, g), gamma_map(G, h))
+            assert gamma_in(G, G.mul(g, h)) \
+                == G.mul(gamma_in(G, g), gamma_in(G, h))
             assert frobenius_map(G, G.mul(g, h)) \
                 == G.mul(frobenius_map(G, g), frobenius_map(G, h))
 
@@ -303,7 +311,7 @@ def test_closure_raises_past_its_limit():
 
 def test_automorphisms_permute_the_group():
     G = build_group("SL", 2, 3)
-    image = {gamma_map(G, g) for g in G.elements}
+    image = {gamma_in(G, g) for g in G.elements}
     assert image == set(G.elements)
 
 
@@ -462,6 +470,24 @@ def test_gauss_jordan_matches_scalar_reference(case):
     else:
         with pytest.raises(ZeroDivisionError):
             mat_inv(a, F)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 5), st.integers(1, 5),
+       st.data())
+def test_mat_rank_of_wide_and_tall_matrices_matches_sympy(p, rows, cols, data):
+    F = build_field(p, 1)
+    a = data.draw(st.tuples(*[st.tuples(*[st.integers(0, p - 1)] * cols)] * rows))
+    K = GF(p)
+    assert mat_rank(a, F) == DomainMatrix.from_list(
+        [list(row) for row in a], K).rank()
+
+
+def test_mat_rank_pivots_over_every_column():
+    F = build_field(2, 1)
+    assert mat_rank(((0, 0, 1),), F) == 1
+    assert mat_rank(((0,), (0,), (1,)), F) == 1
+    assert mat_rank(((0, 1, 1), (0, 1, 0)), F) == 2
 
 
 @settings(max_examples=100, deadline=None)
