@@ -25,6 +25,7 @@ from functools import cache
 from itertools import chain, permutations, product
 
 from .exactfield import (
+    CertificateError,
     SignedPrimePower,
     ell_part,
     ell_val,
@@ -552,19 +553,23 @@ def verify_vs_oracle(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT) -> dict
 
 def run_cell(cell: Cell, oracle_limit: int = ORACLE_ORDER_LIMIT,
              with_oracle: bool = True) -> dict:
-    """check_cell, with a ValueError or OracleError turned into an error report."""
+    """check_cell, with a ValueError or OracleError turned into an error
+    report and a CertificateError into a failure report."""
     try:
         return check_cell(cell, oracle_limit, with_oracle)
     except (ValueError, OracleError) as exc:
-        return {
-            "cell": cell.as_dict(),
-            "degenerate": None,
-            "counts": {},
-            "checks": {},
-            "witnesses": [{"check": "error", "error": str(exc)}],
-            "ms": 0,
-            "status": "error",
-        }
+        check, error, status = "error", str(exc), "error"
+    except CertificateError as exc:
+        check, error, status = "certificate", str(exc), "fail"
+    return {
+        "cell": cell.as_dict(),
+        "degenerate": None,
+        "counts": {},
+        "checks": {},
+        "witnesses": [{"check": check, "error": error}],
+        "ms": 0,
+        "status": status,
+    }
 
 
 def run_grid(cells=None, oracle_limit: int = ORACLE_ORDER_LIMIT,

@@ -395,7 +395,7 @@ def _class_matrices(view, part, inv_class):
     # the pair (i, j) is encoded as the integer i * n + j
     row_base = [inv_class[c] * n for c in class_of]
     for z, perm in view.right_perms(part.reps):
-        k = part.class_map[z]
+        k = class_of[view.index[z]]
         pairs = Counter(map(operator.add, row_base, map(class_of.__getitem__, perm)))
         for ij, count in pairs.items():
             i, j = divmod(ij, n)
@@ -407,11 +407,11 @@ def _power_walks(view, part) -> list:
     """Per class, the classes of z^0 .. z^(o-1) for its representative z,
     walked once with right(z): the walk's length is the order o of z and its
     last entry is the class of z^-1.  Class 0 must be the identity's."""
-    walks = []
+    walks, index, class_of = [], view.index, part.class_of
     for z in part.reps:
         times_z, x, walk = view.right(z), z, [0]
         while x != view.identity:
-            walk.append(part.class_map[x])
+            walk.append(class_of[index[x]])
             x = times_z(x)
         walks.append(walk)
     return walks
@@ -553,7 +553,7 @@ def induce(sub_cf: ClassFunction, amb_view) -> ClassFunction:
     sub_order = sum(sub_cf.part.sizes)
     acc = [ctx.zero] * amb_part.count
     for rep, size, val in zip(sub_cf.part.reps, sub_cf.part.sizes, sub_cf.values):
-        k = amb_part.class_map[rep]
+        k = amb_part.class_of[amb_view.index[rep]]
         acc[k] = ctx.add(acc[k], ctx.scal(size, val))
     amb_order = amb_view.order
     values = tuple(

@@ -338,14 +338,12 @@ class FiniteField:
         self.add_table = add
         self.neg_table = [row.index(0) for row in add]
         # Multiplication through discrete logarithms to the least primitive
-        # element g; powers[e] = g^e for e < n - 1.
-        for g in range(1, n):
-            powers, x = [1], g
-            while x != 1:
-                powers.append(x)
-                x = self._mul_raw(x, g)
-            if len(powers) == n - 1:
-                break
+        # element g, found on the digit arithmetic; powers[e] = g^e.
+        g = self.multiplicative_generator()
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = self._mul_raw(x, g)
         log = [0] * n
         for e, x in enumerate(powers):
             log[x] = e

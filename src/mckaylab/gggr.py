@@ -26,6 +26,7 @@ from .bijection import oracle_table
 from .matrixoracle import (
     OracleError,
     _gauss_jordan,
+    _orbit,
     _row_kernel,
     check_order_limit,
     frobenius_twist,
@@ -233,8 +234,8 @@ def check_homomorphism(lam: tuple, q: int) -> int:
     one constant c_i, and the c_i sum to psi(h): a sum over a product set
     is constant only when each summand is.  The partners are all of U_2 up
     to HOM_EXHAUSTIVE_LIMIT elements, else the one-position generators of
-    u2_generators, which a breadth-first walk from the identity must
-    certify to generate U_2.
+    u2_generators, whose _orbit from the identity, on tuples of row ids, must
+    be all of U_2.
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
@@ -265,20 +266,13 @@ def check_homomorphism(lam: tuple, q: int) -> int:
             if len(shifts) > 1:
                 break
             excess -= shifts.pop()
-            images.append(image.__getitem__)
+            images.append(image)
         if len(shifts) > 1 or excess % p:
             raise CertificateError(f"psi_u not multiplicative at {lam}, q={q}")
-        maps.append(images)
+        maps.append(lambda g, images=images: tuple(map(list.__getitem__, images, g)))
     if partners is not els:
         # elements as tuples of row ids; the identity's rows come first
-        layer = [(0,) * len(row_sets)]
-        seen = set(layer)
-        while layer:
-            columns = list(zip(*layer))
-            layer = {g for images in maps
-                     for g in zip(*map(map, images, columns))} - seen
-            seen |= layer
-        if len(seen) != len(els):
+        if len(_orbit((0,) * len(row_sets), maps, len(els))) != len(els):
             raise CertificateError(f"the partners do not generate U_2 at {lam}, q={q}")
     return len(els) * len(partners)
 

@@ -54,6 +54,7 @@ from .ssclasses import (
     eigen_modulus,
     enumerate_ss_classes,
     eq_orbits,
+    multisets,
 )
 
 
@@ -124,21 +125,8 @@ def enumerate_local_irr(n: int, sp: SignedPrimePower, ell: int) -> tuple:
     td = torus_data(n, sp, ell)
     # a trivial torus (a = 0) has the one empty shape and reads no orbit
     orbits = theta_orbits(n, sp, ell) if td.a else ()
-
-    # Multisets of orbits with multiplicities summing to a; the stack pops
-    # the last orbit first, listing shapes in depth-first recursive order.
-    shapes: list = []
-    stack = [(0, td.a, ())]
-    while stack:
-        i, budget, chosen = stack.pop()
-        if budget == 0:
-            shapes.append(chosen)
-            continue
-        for j in range(i, len(orbits)):
-            rep = orbits[j][0]
-            for mult in range(budget, 0, -1):
-                stack.append((j + 1, budget - mult, chosen + ((rep, mult),)))
-
+    # the shapes: multisets of orbits with multiplicities summing to a
+    shapes = multisets([rep for rep, _ in orbits], [1] * len(orbits), td.a)
     size_of = {rep: size for rep, size in orbits}
     out = []
     for chi_m in enumerate_irr(td.m, sp):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 from .exactfield import (
     FiniteField,
@@ -281,27 +281,20 @@ class GroupView:
     def right_perms(self, targets):
         """Yield (g, perm) for each target g, perm[i] the position of elements[i].g.
 
-        The generators' permutations (|V| products each) and a breadth-first
-        tree of words from the identity are kept on the view; OracleError is
-        raised unless the tree reaches every element.  Each perm is composed
-        along the tree by a depth-first walk over the targets' paths.
+        The generators' permutations (|V| products each) and their _orbit
+        tree from the identity, a tree of words, are kept on the view;
+        OracleError is raised unless the tree reaches every element.  Each
+        perm is composed along the tree by a depth-first walk over the
+        targets' paths.
         """
         index = self.index
         root = index[self.identity]
         if self._regular is None:
             perms = tuple(tuple(map(index.__getitem__, map(self.right(g), self.elements)))
                           for g in self.generators)
-            tree = [None] * self.order   # position -> (parent, generator number)
-            tree[root] = (root, None)
-            frontier = [root]
-            for x in frontier:
-                for k, perm in enumerate(perms):
-                    y = perm[x]
-                    if tree[y] is None:
-                        tree[y] = (x, k)
-                        frontier.append(y)
-            if len(frontier) != self.order:
-                raise OracleError(f"generators reach {len(frontier)} of {self.order}")
+            tree = _orbit(root, [perm.__getitem__ for perm in perms], self.order)
+            if len(tree) != self.order:
+                raise OracleError(f"generators reach {len(tree)} of {self.order}")
             self._regular = (perms, tree)
         perms, tree = self._regular
         wanted = {index[g]: g for g in targets}
@@ -324,7 +317,6 @@ class GroupView:
 class ConjugacyPartition:
     reps: tuple
     sizes: tuple[int, ...]
-    class_map: dict
     class_of: tuple   # the class of each element position
 
     @property
@@ -332,23 +324,26 @@ class ConjugacyPartition:
         return len(self.reps)
 
 
-def _orbit(start, maps, limit: int) -> set:
-    """The orbit of start under the maps, by depth-first walk.
+def _orbit(start, maps, limit: int) -> dict:
+    """The breadth-first tree of the orbit of start under the maps.
 
-    OracleError is raised once the orbit would grow past limit elements.
+    Maps each point reached, in the order reached, to (parent, k) with
+    maps[k](parent) the point; start maps to (start, None).  OracleError is
+    raised once the orbit has grown past limit points, checked after each
+    point's images.
     """
-    orbit = {start}
+    tree = {start: (start, None)}
     frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for f in maps:
+    steps = list(enumerate(maps))
+    for x in frontier:
+        for k, f in steps:
             y = f(x)
-            if y not in orbit:
-                if len(orbit) >= limit:
-                    raise OracleError(f"orbit exceeded limit {limit}")
-                orbit.add(y)
+            if y not in tree:
+                tree[y] = (x, k)
                 frontier.append(y)
-    return orbit
+        if len(frontier) > limit:
+            raise OracleError(f"orbit exceeded limit {limit}")
+    return tree
 
 
 def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
@@ -372,7 +367,6 @@ def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
     return ConjugacyPartition(
         reps=tuple(view.elements[cls[0]] for cls in classes),
         sizes=tuple(map(len, classes)),
-        class_map=dict(zip(view.elements, class_of)),
         class_of=class_of,
     )
 
@@ -594,45 +588,47 @@ def frobenius_map(G: MatrixGroup, g: Matrix) -> Matrix:
 def normalizer(view: GroupView, sub: GroupView) -> GroupView:
     """N_view(sub) by orbit-stabilizer; sub must be a subgroup of view.
 
-    The conjugates of sub under the generators of view are enumerated by the
-    view's conjugation maps, keyed by sorted element positions, each conjugate
-    T = t.sub.t^-1 with its transversal element t and t^-1 (t' = g.t has
-    t'^-1 = t^-1.g^-1).  The normalizer has order |view| / |orbit| and is
-    closed greedily from the Schreier generators t'^-1.g.t, one for each
-    generator g and conjugate T whose image g.T.g^-1 = t'.sub.t'^-1 was
-    reached before.  OracleError is raised if sub leaves view, and unless
-    that closure has exactly this order and is generated by elements that
-    conjugate each generator of sub into sub.
+    The conjugates of sub under the generators of view are the _orbit of
+    its sorted element positions under the view's conjugation maps.  Along
+    the tree each conjugate T = t.sub.t^-1 reached from T0 by g gets
+    t = g.t0 and t^-1 = t0^-1.g^-1.  The normalizer has order
+    |view| / |orbit| and is closed greedily from the Schreier generators
+    t'^-1.g.t, one for each generator g and conjugate T whose image
+    g.T.g^-1 = t'.sub.t'^-1 is not a tree edge, made as they are needed.
+    OracleError is raised if sub leaves view, and unless that closure has
+    exactly this order and is generated by elements that conjugate each
+    generator of sub into sub.
     """
     try:
         start = tuple(sorted(map(view.index.__getitem__, sub.elements)))
     except KeyError:
         raise OracleError("the subgroup has an element outside the group") from None
-    steps = [(g, view.left(g), view.right(g_inv), conj.__getitem__)
-             for g, g_inv, conj in zip(view.generators, view.inverses,
-                                       view.conjugations())]
-    transversal = {start: (view.identity, view.identity)}
-    edges = []
-    frontier = [start]
-    while frontier:
-        conj = frontier.pop()
-        t, t_inv = transversal[conj]
-        for g, g_times, times_gi, conjugate in steps:
-            image = tuple(sorted(map(conjugate, conj)))
-            if image not in transversal:
-                transversal[image] = (g_times(t), times_gi(t_inv))
-                frontier.append(image)
-            else:
-                edges.append((image, g, t))
-    if len(transversal) == 1:
+    conjugates = [lambda conj, f=conj.__getitem__: tuple(sorted(map(f, conj)))
+                  for conj in view.conjugations()]
+    tree = _orbit(start, conjugates, view.order)
+    if len(tree) == 1:
         return view
-    order, rem = divmod(view.order, len(transversal))
+    order, rem = divmod(view.order, len(tree))
     if rem:
-        raise OracleError(f"orbit of {len(transversal)} conjugates does not "
+        raise OracleError(f"orbit of {len(tree)} conjugates does not "
                           f"divide |G| = {view.order}")
+    steps = [(view.left(g), view.right(g_inv))
+             for g, g_inv in zip(view.generators, view.inverses)]
+    transversal = {start: (view.identity, view.identity)}   # conjugate -> (t, t^-1)
+    for conj, (parent, k) in islice(tree.items(), 1, None):
+        times_g, times_gi = steps[k]
+        t, t_inv = transversal[parent]
+        transversal[conj] = (times_g(t), times_gi(t_inv))
     mul = view.mul
-    schreier = (mul(transversal[image][1], mul(g, t)) for image, g, t in edges)
-    kept, elements = find_generators(schreier, view.right, view.identity, order)
+
+    def schreier():
+        for conj, (t, _) in transversal.items():
+            for k, (conjugate, (times_g, _)) in enumerate(zip(conjugates, steps)):
+                image = conjugate(conj)
+                if tree[image] != (conj, k):
+                    yield mul(transversal[image][1], times_g(t))
+
+    kept, elements = find_generators(schreier(), view.right, view.identity, order)
     sub_set = set(sub.elements)
     if len(elements) != order:
         raise OracleError(f"Schreier closure has {len(elements)} elements, "

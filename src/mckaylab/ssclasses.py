@@ -64,25 +64,36 @@ def labels_of_degree(k: int, sp: SignedPrimePower) -> tuple:
     return tuple(e for e in range(len(least)) if least[e] == e and size[e] == k)
 
 
+def multisets(items, weights, budget: int) -> list:
+    """The multisets of distinct items whose multiplicities times weights sum
+    to budget, each a tuple of (item, multiplicity) pairs in item order.
+
+    Weights must not decrease along items.  A stack walk that pops the last
+    item first and its multiplicity 1 first, so the multisets come in
+    depth-first recursive order.
+    """
+    out = []
+    stack = [(0, budget, ())]   # (next item index, remaining budget, chosen pairs)
+    while stack:
+        i, left, chosen = stack.pop()
+        if left == 0:
+            out.append(chosen)
+            continue
+        for j in range(i, len(items)):
+            w = weights[j]
+            if w > left:
+                break
+            for m in range(left // w, 0, -1):
+                stack.append((j + 1, left - m * w, chosen + ((items[j], m),)))
+    return out
+
+
 @cache
 def enumerate_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
-    """All semisimple classes of the rank-n group, canonically sorted."""
+    """All semisimple classes of the rank-n group, canonically sorted: the
+    multisets of labels whose degrees times multiplicities sum to n."""
     labels = [(k, e) for k in range(1, n + 1) for e in labels_of_degree(k, sp)]
-    out = []
-    # (next label index, remaining rank, chosen factors); labels ascend in k
-    stack = [(0, n, ())]
-    while stack:
-        i, budget, chosen = stack.pop()
-        if budget == 0:
-            out.append(SSClass(chosen))
-            continue
-        for j in range(i, len(labels)):
-            k = labels[j][0]
-            if k > budget:
-                break
-            for m in range(1, budget // k + 1):
-                stack.append((j + 1, budget - m * k, chosen + ((labels[j], m),)))
-    return tuple(sorted(out))
+    return tuple(sorted(map(SSClass, multisets(labels, [k for k, _ in labels], n))))
 
 
 def centralizer_type(cls: SSClass) -> tuple:

@@ -254,6 +254,33 @@ def test_verify_workers_report_cell_errors_like_one_worker(tmp_path,
     assert reports[0]["witnesses"] == [{"check": "error", "error": "no torus"}]
 
 
+def test_verify_reports_a_failed_certificate_as_a_failing_cell(tmp_path,
+                                                                monkeypatch):
+    # A CertificateError on one cell fails that cell; the other cell still
+    # gets its verdict, with one worker or two (forked workers inherit the
+    # patch).
+    def torus(G, ell):
+        if G.kind == "GU":
+            raise CertificateError("torus order mismatch")
+        return explicit_torus(G, ell)
+
+    monkeypatch.setattr(bijection, "explicit_torus", torus)
+    grid = tmp_path / "cells.json"
+    grid.write_text(json.dumps([[2, -1, 2, 3], [2, 1, 3, 2]]))
+    args = ("verify", "--grid", str(grid), "--format", "json")
+    one = run(*args, "--workers", "1")
+    two = run(*args, "--workers", "2")
+    assert one.exit_code == two.exit_code == 1
+    assert one.output == two.output
+    reports = json.loads(one.output)
+    assert [r["status"] for r in reports] == ["fail", "ok"]
+    assert reports[0]["witnesses"] == [
+        {"check": "certificate", "error": "torus order mismatch"}]
+    table = run("verify", "--grid", str(grid))
+    assert table.exit_code == 1
+    assert "FAIL" in table.output.splitlines()[0]
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no
     process and runs nothing."""

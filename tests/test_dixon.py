@@ -34,12 +34,13 @@ def test_degree_multisets(key):
 def reference_class_matrices(view, part):
     """Class-sum matrices by a loop over class members, with view.mul."""
     n = part.count
+    class_of = lambda x: part.class_of[view.index[x]]
     mats = []
     for i in range(n):
         m = [[0] * n for _ in range(n)]
-        for x in (x for x in view.elements if part.class_map[x] == i):
+        for x in (x for x in view.elements if class_of(x) == i):
             for k, z in enumerate(part.reps):
-                m[part.class_map[view.mul(view.inv(x), z)]][k] += 1
+                m[class_of(view.mul(view.inv(x), z))][k] += 1
         mats.append(m)
     return mats
 
@@ -52,7 +53,7 @@ def reference_class_matrices(view, part):
 def test_class_matrices_match_a_plain_loop(view):
     view = view()
     part = view.conjugacy_classes()
-    inv_class = tuple(part.class_map[view.inv(z)] for z in part.reps)
+    inv_class = tuple(part.class_of[view.index[view.inv(z)]] for z in part.reps)
     assert dixon._class_matrices(view, part, inv_class) \
         == reference_class_matrices(view, part)
 
@@ -85,8 +86,8 @@ def test_power_walks_give_orders_and_inverse_classes(view):
         powers = [view.identity]
         while len(powers) < view.element_order(z):
             powers.append(view.mul(powers[-1], z))
-        assert walk == [part.class_map[x] for x in powers]
-        assert walk[-1] == part.class_map[view.inv(z)]
+        assert walk == [part.class_of[view.index[x]] for x in powers]
+        assert walk[-1] == part.class_of[view.index[view.inv(z)]]
     orders = [view.element_order(z) for z in part.reps]
     assert dixon.character_table(view).ctx.N == math.lcm(*orders)
 
@@ -111,7 +112,7 @@ def test_character_values_at_identity_and_inverses():
     table = dixon.character_table(G)
     ctx = table.ctx
     part = table.part
-    inv_class = [part.class_map[G.inv(rep)] for rep in part.reps]
+    inv_class = [part.class_of[G.index[G.inv(rep)]] for rep in part.reps]
     for chi in table.chars:
         assert chi.degree == ctx.as_int(chi.values[0])
         for k, values in enumerate(chi.values):
@@ -125,7 +126,7 @@ def trivial_character(view, ctx):
 
 def restrict(cf, sub_view):
     part = sub_view.conjugacy_classes()
-    values = tuple(cf.values[cf.part.class_map[rep]] for rep in part.reps)
+    values = tuple(cf.values[cf.part.class_of[cf.view.index[rep]]] for rep in part.reps)
     return dixon.ClassFunction(sub_view, part, cf.ctx, values)
 
 

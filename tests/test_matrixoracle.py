@@ -1,6 +1,8 @@
 """Brute-force matrix groups: construction, classes, subgroup machinery."""
 
 import math
+import random
+from collections import deque
 from itertools import combinations, islice
 
 import pytest
@@ -148,6 +150,45 @@ def test_group_inverse_is_two_sided(key):
         assert G.mul(g, gi) == G.identity == G.mul(gi, g)
 
 
+def _plain_bfs_depths(start, maps):
+    """Each point reachable from start under the maps, with its distance."""
+    depth, queue = {start: 0}, deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in (f(x) for f in maps):
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                queue.append(y)
+    return depth
+
+
+def test_orbit_tree_matches_a_plain_breadth_first_search():
+    rng = random.Random(24)
+    for _ in range(300):
+        size = rng.randrange(1, 40)
+        perms = [rng.sample(range(size), size) for _ in range(rng.randrange(4))]
+        maps = [perm.__getitem__ for perm in perms]
+        start = rng.randrange(size)
+        tree = matrixoracle._orbit(start, maps, size)
+        depth = _plain_bfs_depths(start, maps)
+        assert set(tree) == set(depth)
+        assert tree[start] == (start, None)
+        position = {x: i for i, x in enumerate(tree)}
+        assert position[start] == 0
+        for x, (parent, k) in tree.items():
+            if x != start:
+                assert position[parent] < position[x]
+                assert maps[k](parent) == x
+                assert depth[x] == depth[parent] + 1
+
+
+def test_orbit_raises_past_its_limit():
+    cycle = [1, 2, 3, 4, 0]
+    assert len(matrixoracle._orbit(0, [cycle.__getitem__], 5)) == 5
+    with pytest.raises(OracleError, match="limit 4"):
+        matrixoracle._orbit(0, [cycle.__getitem__], 4)
+
+
 def reference_partition(view):
     """Conjugacy classes by an orbit search written with view.mul alone."""
     classes, seen = [], set()
@@ -176,7 +217,8 @@ def test_conjugacy_partition_matches_a_plain_orbit_search(key):
         classes = reference_partition(view)
         assert part.sizes == tuple(map(len, classes))
         assert part.reps == tuple(c[0] for c in classes)
-        assert part.class_map == {x: k for k, c in enumerate(classes) for x in c}
+        owner = {x: k for k, c in enumerate(classes) for x in c}
+        assert {x: part.class_of[view.index[x]] for x in view.elements} == owner
 
 
 def test_quaternion_subgroup_of_sl2_3_is_normal():
@@ -250,8 +292,9 @@ def test_right_perms_are_right_multiplication_on_positions(view):
     assert perms == tuple(tuple(index[x] for x in map(view.right(g), view.elements))
                           for g in view.generators)
     root = index[view.identity]
+    assert sorted(tree) == list(range(view.order))
     assert tree[root] == (root, None)
-    assert all(perms[k][parent] == x for x, (parent, k) in enumerate(tree)
+    assert all(perms[k][parent] == x for x, (parent, k) in tree.items()
                if x != root)
 
 

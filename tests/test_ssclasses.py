@@ -1,5 +1,7 @@
 """Semisimple class labels: orbits of eigenvalue data and central translation."""
 
+from itertools import product
+
 import pytest
 
 from mckaylab import ssclasses
@@ -13,6 +15,7 @@ from mckaylab.ssclasses import (
     eigen_modulus,
     enumerate_ss_classes,
     labels_of_degree,
+    multisets,
     norm_exponent,
     pgl_ss_classes,
     zhat_translate,
@@ -173,3 +176,22 @@ def test_enumeration_has_no_recursion_depth_limit():
     # GL(2,47) has 1127 eigenvalue labels, more than the default recursion
     # limit of 1000 frames.
     assert len(enumerate_ss_classes(2, spp(1, 47))) == 47**2 - 47
+
+
+def _brute_force_multisets(items, weights, budget):
+    """Every multiplicity vector with weighted sum budget, as sorted pairs."""
+    out = []
+    for mults in product(*(range(budget // w + 1) for w in weights)):
+        if sum(m * w for m, w in zip(mults, weights)) == budget:
+            out.append(tuple((x, m) for x, m in zip(items, mults) if m))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("weights", [(), (1, 1, 1, 1), (1, 1, 2, 2, 3, 4)],
+                         ids=["empty", "ones", "degrees"])
+@pytest.mark.parametrize("budget", range(7))
+def test_multisets_match_a_brute_force(weights, budget):
+    items = [(w, e) for e, w in enumerate(weights)]
+    got = multisets(items, weights, budget)
+    assert sorted(got) == _brute_force_multisets(items, weights, budget)
+    assert len(set(got)) == len(got)

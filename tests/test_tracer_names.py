@@ -43,3 +43,22 @@ def test_cached_names_have_cache_info():
         if not hasattr(fn, "cache_info"):
             missing.append(key)
     assert missing == []
+
+
+def test_listed_keys_are_timed_keys():
+    # the tracer reads these keys from `originals`, which holds only TIMED names
+    timed = {f"{home}.{name}" for home, names in _tracer_constant("TIMED").items()
+             for name in names}
+    for constant in ("DISTINCT", "CACHED", "PROFILE_CHECKED"):
+        assert set(_tracer_constant(constant)) <= timed, constant
+
+
+def test_profile_checked_names_are_plain_functions():
+    # cProfile entries are matched through __code__, which a memo wrapper lacks
+    missing = []
+    for key in _tracer_constant("PROFILE_CHECKED"):
+        home, name = key.split(".")
+        fn = getattr(importlib.import_module(f"mckaylab.{home}"), name, None)
+        if not hasattr(fn, "__code__"):
+            missing.append(key)
+    assert missing == []
