@@ -185,11 +185,11 @@ def oracle(kind, n, q, ell, out, fmt) -> None:
     try:   # ell past the primality bound, OracleError, q not a prime power
         if ell is not None and not isprime(ell):
             raise click.UsageError(f"ell={ell} is not prime")
+        if ell is not None and spp(1, q).p == ell:
+            raise click.UsageError(f"ell={ell} divides q={q}")
         group = build_group(kind, n, q)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if ell is not None and group.sp.p == ell:
-        raise click.UsageError(f"ell={ell} divides q={q}")
     table = dixon.character_table(group)
     payload = {
         "group": f"{kind}_{n}({q})",

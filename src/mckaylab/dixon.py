@@ -380,41 +380,38 @@ def _root_of_unity_mod(N: int, r: int) -> int:
     raise CertificateError("no element of the required order mod r")
 
 
-def _class_matrices(view, part, inv_class):
-    """Class-sum matrices: entry [i][j][k] counts x in class i with x^-1.z_k
-    in class j, for the representative z_k of class k.
+def _class_matrices(view, part):
+    """Class-sum matrices, entry [i][j][k] the number of x in class i with
+    x^-1.z_k in class j for the representative z_k of class k, and each
+    class's power walk, both read off z_k's right-regular permutation.
 
     x runs over class i exactly when y = x^-1 runs over its inverse class
-    i* = inv_class[i], so no element is inverted: the right-regular
-    permutation of each representative is read at every element position y,
-    which counts towards row class(y.z_k) of matrix inv_class[class(y)].
+    i*, so no element is inverted: the permutation is read at every
+    position y, counting towards row class(y.z_k) of matrix class(y)*.  The
+    walk follows the identity's cycle: the classes of z_k^0 .. z_k^(o-1),
+    so its length is the order of z_k and its last entry the class i* of
+    z_k^-1.  Class 0 must be the identity's.
     """
     n = part.count
     class_of = part.class_of
-    mats = [[[0] * n for _ in range(n)] for _ in range(n)]
-    # the pair (i, j) is encoded as the integer i * n + j
-    row_base = [inv_class[c] * n for c in class_of]
+    root = view.index[view.identity]
+    # counts[c][j][k]: the y in class c with y.z_k in class j
+    counts = [[[0] * n for _ in range(n)] for _ in range(n)]
+    walks = [None] * n
+    # the pair (c, j) is encoded as the integer c * n + j
+    row_base = [c * n for c in class_of]
     for z, perm in view.right_perms(part.reps):
         k = class_of[view.index[z]]
         pairs = Counter(map(operator.add, row_base, map(class_of.__getitem__, perm)))
-        for ij, count in pairs.items():
-            i, j = divmod(ij, n)
-            mats[i][j][k] += count
-    return mats
-
-
-def _power_walks(view, part) -> list:
-    """Per class, the classes of z^0 .. z^(o-1) for its representative z,
-    walked once with right(z): the walk's length is the order o of z and its
-    last entry is the class of z^-1.  Class 0 must be the identity's."""
-    walks, index, class_of = [], view.index, part.class_of
-    for z in part.reps:
-        times_z, x, walk = view.right(z), z, [0]
-        while x != view.identity:
-            walk.append(class_of[index[x]])
-            x = times_z(x)
-        walks.append(walk)
-    return walks
+        for cj, count in pairs.items():
+            c, j = divmod(cj, n)
+            counts[c][j][k] += count
+        walk, x = [0], perm[root]
+        while x != root:
+            walk.append(class_of[x])
+            x = perm[x]
+        walks[k] = walk
+    return [counts[walk[-1]] for walk in walks], walks
 
 
 def _spectrum(col, idft, step: int, r: int) -> list:
@@ -447,13 +444,13 @@ def _build_table(view) -> CharacterTable:
     if part.reps[0] != view.identity:
         raise CertificateError("the first class is not the identity")
 
-    power_classes = _power_walks(view, part)
+    mats, power_classes = _class_matrices(view, part)
     N = math.lcm(*map(len, power_classes))
     ctx = CycContext(N)
     r = _find_prime(N, order, n_classes)
 
     inv_class = tuple(walk[-1] for walk in power_classes)
-    spaces = _split_common_eigenspaces(_class_matrices(view, part, inv_class), r)
+    spaces = _split_common_eigenspaces(mats, r)
     if len(spaces) != n_classes:
         raise CertificateError("fewer common eigenspaces than classes")
 

@@ -118,12 +118,6 @@ def right_mul(b: Matrix, F: FiniteField):
     return lambda a: tuple(map(images.__getitem__, a))
 
 
-def left_mul(b: Matrix, F: FiniteField):
-    """The map a -> b.a for one fixed b, as right_mul(b^T) on transposes."""
-    times_bt = right_mul(tuple(zip(*b)), F)
-    return lambda a: tuple(zip(*times_bt(tuple(zip(*a)))))
-
-
 def _gauss_jordan(rows: list, ncols: int, F: FiniteField) -> tuple[int, int]:
     """Gauss-Jordan reduction of rows in place, pivoting on the first ncols.
 
@@ -217,12 +211,12 @@ def form_matrix(n: int, F: FiniteField) -> Matrix:
 class GroupView:
     """A finite group given by an explicit element list and multiplication.
 
-    `right(b)` and `left(b)` return the maps a -> a.b and a -> b.a for one
-    fixed factor b; a loop that reuses one factor makes its map once.  Used
-    both for full matrix groups and for subgroups; conjugacy data and
-    the character table, and the generators' inverses, conjugation maps and
-    right-regular permutations, are computed lazily and kept on the instance.
-    The elements are sorted, so their positions order them.
+    `right(b)` returns the map a -> a.b for one fixed factor b; a loop that
+    reuses one factor makes its map once.  Used both for full matrix groups
+    and for subgroups; conjugacy data and the character table, the
+    generators' inverses and the regular representation, with the position
+    maps read off it, are computed lazily and kept on the instance.  The
+    elements are sorted, so their positions order them.
     `_subgroups` maps sorted element tuples to views; a view and every
     subgroup view made from it share one such registry.
     """
@@ -233,13 +227,10 @@ class GroupView:
     mul: object
     inv: object
     right: object
-    left: object
     _index: dict = field(default=None, repr=False)
     _classes: object = field(default=None, repr=False)
     _table: object = field(default=None, repr=False, compare=False)
     _subgroups: dict = field(default=None, repr=False, compare=False)
-    _conjugations: tuple = field(default=None, repr=False, compare=False)
-    _regular: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -267,36 +258,48 @@ class GroupView:
         """The inverse of each generator, computed once per view."""
         return tuple(map(self.inv, self.generators))
 
-    def conjugations(self) -> tuple:
-        """Per generator g, the map from the position of x to that of
-        g.x.g^-1, filled on demand and kept on the view."""
-        if self._conjugations is None:
-            elements, index = self.elements, self.index
-            self._conjugations = tuple(
-                _Images(lambda i, a=self.left(g), b=self.right(g_inv):
-                        index[a(b(elements[i]))])
-                for g, g_inv in zip(self.generators, self.inverses))
-        return self._conjugations
+    @cached_property
+    def regular(self) -> tuple:
+        """(perms, tree): the generators' right-regular permutations, perm[i]
+        the position of elements[i].g (|V| products each), and their _orbit
+        tree from the identity, a tree of words.  OracleError is raised
+        unless the tree reaches every element, so the generators generate."""
+        index = self.index
+        perms = tuple(tuple(map(index.__getitem__, map(self.right(g), self.elements)))
+                      for g in self.generators)
+        tree = _orbit(index[self.identity], [perm.__getitem__ for perm in perms],
+                      self.order)
+        if len(tree) != self.order:
+            raise OracleError(f"generators reach {len(tree)} of {self.order}")
+        return perms, tree
+
+    @cached_property
+    def generator_maps(self) -> tuple:
+        """Per generator g, the position maps (left, right_inv, conj) of
+        x -> g.x, x -> x.g^-1 and x -> g.x.g^-1, read off the regular
+        representation with no matrix product: along each tree edge
+        x = y.g_k, g.x = (g.y).g_k, and right_inv inverts g's permutation."""
+        perms, tree = self.regular
+        maps = []
+        for perm in perms:
+            left = [perm[self.index[self.identity]]] * self.order   # the root is g
+            for x, (y, k) in islice(tree.items(), 1, None):   # parents first
+                left[x] = perms[k][left[y]]
+            # the inverse of perm, holding the index's own position ints
+            right_inv = sorted(self.index.values(), key=perm.__getitem__)
+            maps.append((tuple(left), tuple(right_inv),
+                         tuple(map(right_inv.__getitem__, left))))
+        return tuple(maps)
 
     def right_perms(self, targets):
         """Yield (g, perm) for each target g, perm[i] the position of elements[i].g.
 
-        The generators' permutations (|V| products each) and their _orbit
-        tree from the identity, a tree of words, are kept on the view;
-        OracleError is raised unless the tree reaches every element.  Each
-        perm is composed along the tree by a depth-first walk over the
-        targets' paths.
+        Each perm is composed from the regular representation along its
+        tree by a depth-first walk over the targets' paths.
         """
         index = self.index
+        perms, tree = self.regular
         root = index[self.identity]
-        if self._regular is None:
-            perms = tuple(tuple(map(index.__getitem__, map(self.right(g), self.elements)))
-                          for g in self.generators)
-            tree = _orbit(root, [perm.__getitem__ for perm in perms], self.order)
-            if len(tree) != self.order:
-                raise OracleError(f"generators reach {len(tree)} of {self.order}")
-            self._regular = (perms, tree)
-        perms, tree = self._regular
         wanted = {index[g]: g for g in targets}
         children: dict = {}   # the targets' paths, as parent -> children
         for x in wanted:
@@ -353,7 +356,7 @@ def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
     Classes are ordered identity first, then by (size, minimal member), and
     each representative is the minimal member, so the result is deterministic.
     """
-    conjugators = [conj.__getitem__ for conj in view.conjugations()]
+    conjugators = [conj.__getitem__ for _, _, conj in view.generator_maps]
     seen: set = set()
     classes = []
     for start in range(view.order):
@@ -425,7 +428,6 @@ def subgroup_view(parent: GroupView, elements, generators=None) -> GroupView:
             mul=parent.mul,
             inv=parent.inv,
             right=parent.right,
-            left=parent.left,
             _subgroups=parent._subgroups,
         )
     return view
@@ -537,7 +539,6 @@ def _build_group(kind: str, n: int, sp: SignedPrimePower, expected: int) -> Matr
         mul=mul,
         inv=lambda a: mat_inv(a, F),
         right=right,
-        left=lambda b: left_mul(b, F),
         kind=kind,
         n=n,
         sp=sp,
@@ -590,11 +591,12 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
 
     The conjugates of sub under the generators of view are the _orbit of
     its sorted element positions under the view's conjugation maps.  Along
-    the tree each conjugate T = t.sub.t^-1 reached from T0 by g gets
-    t = g.t0 and t^-1 = t0^-1.g^-1.  The normalizer has order
-    |view| / |orbit| and is closed greedily from the Schreier generators
-    t'^-1.g.t, one for each generator g and conjugate T whose image
-    g.T.g^-1 = t'.sub.t'^-1 is not a tree edge, made as they are needed.
+    the tree each conjugate T = t.sub.t^-1 reached from T0 by g gets the
+    positions of t = g.t0 and t^-1 = t0^-1.g^-1, read from g's position
+    maps.  The normalizer has order |view| / |orbit| and is closed greedily
+    from the Schreier generators t'^-1.g.t, one matrix product each, for
+    each generator g and conjugate T whose image g.T.g^-1 = t'.sub.t'^-1 is
+    not a tree edge, made as they are needed.
     OracleError is raised if sub leaves view, and unless that closure has
     exactly this order and is generated by elements that conjugate each
     generator of sub into sub.
@@ -603,8 +605,9 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
         start = tuple(sorted(map(view.index.__getitem__, sub.elements)))
     except KeyError:
         raise OracleError("the subgroup has an element outside the group") from None
+    maps = view.generator_maps
     conjugates = [lambda conj, f=conj.__getitem__: tuple(sorted(map(f, conj)))
-                  for conj in view.conjugations()]
+                  for _, _, conj in maps]
     tree = _orbit(start, conjugates, view.order)
     if len(tree) == 1:
         return view
@@ -612,21 +615,20 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
     if rem:
         raise OracleError(f"orbit of {len(tree)} conjugates does not "
                           f"divide |G| = {view.order}")
-    steps = [(view.left(g), view.right(g_inv))
-             for g, g_inv in zip(view.generators, view.inverses)]
-    transversal = {start: (view.identity, view.identity)}   # conjugate -> (t, t^-1)
+    root = view.index[view.identity]
+    transversal = {start: (root, root)}   # conjugate -> positions of (t, t^-1)
     for conj, (parent, k) in islice(tree.items(), 1, None):
-        times_g, times_gi = steps[k]
+        left, right_inv, _ = maps[k]
         t, t_inv = transversal[parent]
-        transversal[conj] = (times_g(t), times_gi(t_inv))
-    mul = view.mul
+        transversal[conj] = (left[t], right_inv[t_inv])
+    at, mul = view.elements.__getitem__, view.mul
 
     def schreier():
         for conj, (t, _) in transversal.items():
-            for k, (conjugate, (times_g, _)) in enumerate(zip(conjugates, steps)):
+            for k, (conjugate, (left, _, _)) in enumerate(zip(conjugates, maps)):
                 image = conjugate(conj)
                 if tree[image] != (conj, k):
-                    yield mul(transversal[image][1], times_g(t))
+                    yield mul(at(transversal[image][1]), at(left[t]))
 
     kept, elements = find_generators(schreier(), view.right, view.identity, order)
     sub_set = set(sub.elements)

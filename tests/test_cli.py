@@ -108,6 +108,16 @@ def test_oracle_usage_errors():
                "--ell", "3").exit_code == 2
 
 
+def test_oracle_rejects_the_characteristic_as_ell_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a group")
+
+    monkeypatch.setattr(cli, "build_group", refuse)
+    res = run("oracle", "--kind", "GU", "--n", "3", "--q", "3", "--ell", "3")
+    assert res.exit_code == 2
+    assert "ell=3 divides q=3" in res.output
+
+
 def test_gggr_parity():
     res = run("gggr", "--n", "12", "--check", "parity")
     assert res.exit_code == 0

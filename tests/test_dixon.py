@@ -53,9 +53,7 @@ def reference_class_matrices(view, part):
 def test_class_matrices_match_a_plain_loop(view):
     view = view()
     part = view.conjugacy_classes()
-    inv_class = tuple(part.class_of[view.index[view.inv(z)]] for z in part.reps)
-    assert dixon._class_matrices(view, part, inv_class) \
-        == reference_class_matrices(view, part)
+    assert dixon._class_matrices(view, part)[0] == reference_class_matrices(view, part)
 
 
 def _oracle_normalizers(kind, n, q, ell):
@@ -81,7 +79,7 @@ def _oracle_normalizers(kind, n, q, ell):
 def test_power_walks_give_orders_and_inverse_classes(view):
     view = view()
     part = view.conjugacy_classes()
-    walks = dixon._power_walks(view, part)
+    walks = dixon._class_matrices(view, part)[1]
     for z, walk in zip(part.reps, walks):
         powers = [view.identity]
         while len(powers) < view.element_order(z):
@@ -90,6 +88,21 @@ def test_power_walks_give_orders_and_inverse_classes(view):
         assert walk[-1] == part.class_of[view.index[view.inv(z)]]
     orders = [view.element_order(z) for z in part.reps]
     assert dixon.character_table(view).ctx.N == math.lcm(*orders)
+
+
+def test_table_reads_only_positions_once_the_regular_representation_exists():
+    G = build_group("GL", 3, 2)
+    fresh = dataclasses.replace(G, _classes=None, _table=None)
+    fresh.regular   # the only matrix products: |G| per generator
+
+    def refuse(*args):
+        raise AssertionError("dixon multiplied matrices")
+
+    fresh.right = fresh.mul = refuse
+    table = dixon.character_table(fresh)
+    assert table.part.reps == G.conjugacy_classes().reps
+    assert [c.values for c in table.chars] \
+        == [c.values for c in dixon.character_table(G).chars]
 
 
 def test_row_orthogonality():
@@ -265,7 +278,7 @@ def test_a_broken_power_walk_gets_its_own_dft(monkeypatch):
     the class runs its own inverse DFT."""
     G = build_group("GL", 2, 3)
     part = G.conjugacy_classes()
-    walks = dixon._power_walks(G, part)
+    mats, walks = dixon._class_matrices(G, part)
     # a class of order 8 that is the inverse of an earlier class
     k = next(k for k, walk in enumerate(walks)
              if len(walk) == 8 and walk[-1] < k)
@@ -280,7 +293,8 @@ def test_a_broken_power_walk_gets_its_own_dft(monkeypatch):
 
     def first_character_dfts(walks_seen):
         orders.clear()
-        monkeypatch.setattr(dixon, "_power_walks", lambda view, part: walks_seen)
+        monkeypatch.setattr(dixon, "_class_matrices",
+                            lambda view, part: (mats, walks_seen))
         monkeypatch.setattr(dixon, "_spectrum", record)
         try:
             dixon.character_table(dataclasses.replace(G, _table=None))

@@ -248,6 +248,6 @@ def test_gamma_conjugacy_returns_the_first_witness_of_a_plain_scan():
             u = gggr.rep_unipotent(lam)
             target = gamma_twist(u, S.F)
             assert u in S.index and target in S.index
-            times_u, target_times = S.right(u), S.left(target)
-            first = next(g for g in S.elements if times_u(g) == target_times(g))
+            times_u = S.right(u)
+            first = next(g for g in S.elements if times_u(g) == S.mul(target, g))
             assert gggr.check_gamma_conjugacy(lam, q) == (u, first), (lam, q)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from mckaylab import matrixoracle
+from mckaylab import gggr, matrixoracle
 from mckaylab.bijection import explicit_torus
 from mckaylab.exactfield import build_field, ell_part, prime_factors
 from mckaylab.matrixoracle import (
@@ -22,7 +22,6 @@ from mckaylab.matrixoracle import (
     frobenius_map,
     gamma_twist,
     identity_matrix,
-    left_mul,
     mat_det,
     mat_inv,
     mat_mul,
@@ -288,7 +287,7 @@ def test_right_perms_are_right_multiplication_on_positions(view):
         assert perm == [index[x] for x in map(view.right(z), view.elements)]
     # the view keeps the generators' permutations and a tree of words
     # (position -> (parent, generator number)), nothing per target
-    perms, tree = view._regular
+    perms, tree = view.regular
     assert perms == tuple(tuple(index[x] for x in map(view.right(g), view.elements))
                           for g in view.generators)
     root = index[view.identity]
@@ -298,21 +297,47 @@ def test_right_perms_are_right_multiplication_on_positions(view):
                if x != root)
 
 
-def test_right_perms_need_generators_that_reach_every_element():
+def _short_view():
+    """GL(2,3) with a first generator alone, which does not generate it."""
     G = build_group("GL", 2, 3)
-    short = matrixoracle.GroupView(
+    return matrixoracle.GroupView(
         elements=G.elements, generators=G.generators[:1], identity=G.identity,
-        mul=G.mul, inv=G.inv, right=G.right, left=G.left)
+        mul=G.mul, inv=G.inv, right=G.right)
+
+
+def test_right_perms_need_generators_that_reach_every_element():
     with pytest.raises(OracleError, match="reach"):
-        next(short.right_perms([G.identity]))
+        next(_short_view().right_perms([build_group("GL", 2, 3).identity]))
 
 
-def test_conjugation_maps_match_matrix_conjugation():
-    G = build_group("GL", 2, 3)
-    for g, conj in zip(G.generators, G.conjugations()):
-        g_inv = mat_inv(g, G.F)
-        for i, x in enumerate(G.elements):
-            assert G.elements[conj[i]] == mat_mul(mat_mul(g, x, G.F), g_inv, G.F)
+def test_conjugacy_classes_need_generators_that_reach_every_element():
+    with pytest.raises(OracleError, match="generators reach"):
+        _short_view().conjugacy_classes()
+
+
+def _in_group(kind, n, q, make=lambda G: G):
+    """A view made from a built group, with the group's field."""
+    G = build_group(kind, n, q)
+    return make(G), G.F
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _in_group("GL", 2, 3),
+    lambda: _in_group("GU", 2, 3),
+    lambda: _in_group("GU", 2, 3, lambda G: normalizer(G, explicit_torus(G, 5))),
+    lambda: _in_group("GL", 3, 3, lambda G: subgroup_view(
+        G, gggr.u2_elements((3,), G.F))),
+], ids=["GL(2,3)", "GU(2,3)", "NT of GU(2,3) ell=5", "U_2 of GL(3,3) (3)"])
+def test_generator_maps_match_mat_mul(make):
+    view, F = make()
+    elements = view.elements
+    assert view.order > 1 and len(view.generator_maps) == len(view.generators)
+    for g, (left, right_inv, conj) in zip(view.generators, view.generator_maps):
+        g_inv = mat_inv(g, F)
+        for i, x in enumerate(elements):
+            assert elements[left[i]] == mat_mul(g, x, F)
+            assert elements[right_inv[i]] == mat_mul(x, g_inv, F)
+            assert elements[conj[i]] == mat_mul(mat_mul(g, x, F), g_inv, F)
 
 
 def gamma_in(G, g):
@@ -435,10 +460,9 @@ def field_and_matrices_sharing_rows(draw, fields):
 def test_fixed_factor_multipliers_match_mat_mul(case):
     F, mats = case
     for b in mats:
-        times_b, b_times = right_mul(b, F), left_mul(b, F)
+        times_b = right_mul(b, F)
         for a in mats:
-            assert times_b(a) == mat_mul(a, b, F) == left_mul(a, F)(b)
-            assert b_times(a) == mat_mul(b, a, F)
+            assert times_b(a) == mat_mul(a, b, F)
 
 
 def reference_det(a, F):
