@@ -65,7 +65,6 @@ from .matrixoracle import (
     mat_mul,
     normalizer,
     subgroup_closure,
-    subgroup_view,
     sylow_subgroup,
 )
 
@@ -239,10 +238,10 @@ def check_in_congruence(data: CellData, note) -> bool:
 
 def _jordan_ellprime(chi: GlobalChar, deg: int, n: int, sp: SignedPrimePower,
                      ell: int) -> bool:
-    """ell-prime test via the Jordan factorization deg = index_{p'} * unipotent."""
+    """ell-prime test via deg = index_{p'} * unipotent; False unless it divides."""
     idx = index_order(centralizer_type(chi.cls), n, sp)
-    unip = deg // ell_part(idx, sp.p)[1]
-    return ell_val(idx, ell) == 0 and ell_val(unip, ell) == 0
+    unip, rem = divmod(deg, ell_part(idx, sp.p)[1])
+    return not rem and ell_val(idx, ell) == 0 and ell_val(unip, ell) == 0
 
 
 def check_ellprime(data: CellData, note) -> tuple[bool, int, int]:
@@ -442,7 +441,7 @@ def explicit_torus(G, ell: int):
     """
     td = torus_data(G.n, G.sp, ell)
     if td.a == 0:
-        return subgroup_view(G, (G.identity,), (G.identity,))
+        return subgroup_closure(G, ())
     d0, Q, F = td.d0, td.Q, G.F
     H = G if d0 == G.n else build_group(G.kind, d0, G.sp.q)
     classes = H.conjugacy_classes()

@@ -37,7 +37,7 @@ from .matrixoracle import (
     mat_mul,
     mat_rank,
     signed_reversal,
-    subgroup_view,
+    subgroup_closure,
 )
 
 HOM_EXHAUSTIVE_LIMIT = 1000
@@ -374,7 +374,7 @@ def gggr_multiplicities(n: int, q: int, lam: tuple) -> tuple:
     G, table = oracle_table("GL", n, q)
     F = G.F
     els = u2_elements(lam, F)
-    view = subgroup_view(G, els)
+    view = subgroup_closure(G, sorted(els))
     sub_part = view.conjugacy_classes()
     ctx = table.ctx
     u, exact2 = rep_unipotent(lam), exact2_positions(lam)

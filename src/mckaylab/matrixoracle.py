@@ -212,11 +212,11 @@ class GroupView:
     """A finite group given by an explicit element list and multiplication.
 
     `right(b)` returns the map a -> a.b for one fixed factor b; a loop that
-    reuses one factor makes its map once.  Used both for full matrix groups
-    and for subgroups; conjugacy data and the character table, the
-    generators' inverses and the regular representation, with the position
-    maps read off it, are computed lazily and kept on the instance.  The
-    elements are sorted, so their positions order them.
+    reuses one factor makes its map once.  Used for groups and subgroups;
+    `perms`, the generators' right-regular permutations, come from the walk
+    that built the view, and conjugacy data, the character table, the
+    generators' inverses and the tree of words with the position maps read
+    off it are made lazily and kept.  Elements are sorted, so positions order them.
     `_subgroups` maps sorted element tuples to views; a view and every
     subgroup view made from it share one such registry.
     """
@@ -227,6 +227,7 @@ class GroupView:
     mul: object
     inv: object
     right: object
+    perms: tuple = field(repr=False, compare=False)
     _index: dict = field(default=None, repr=False)
     _classes: object = field(default=None, repr=False)
     _table: object = field(default=None, repr=False, compare=False)
@@ -261,17 +262,14 @@ class GroupView:
     @cached_property
     def regular(self) -> tuple:
         """(perms, tree): the generators' right-regular permutations, perm[i]
-        the position of elements[i].g (|V| products each), and their _orbit
-        tree from the identity, a tree of words.  OracleError is raised
-        unless the tree reaches every element, so the generators generate."""
-        index = self.index
-        perms = tuple(tuple(map(index.__getitem__, map(self.right(g), self.elements)))
-                      for g in self.generators)
-        tree = _orbit(index[self.identity], [perm.__getitem__ for perm in perms],
-                      self.order)
+        the position of elements[i].g, and their _orbit tree from the
+        identity, a tree of words.  OracleError is raised unless the tree
+        reaches every element, so the generators generate."""
+        tree = _orbit(self.index[self.identity],
+                      [perm.__getitem__ for perm in self.perms], self.order)
         if len(tree) != self.order:
             raise OracleError(f"generators reach {len(tree)} of {self.order}")
-        return perms, tree
+        return self.perms, tree
 
     @cached_property
     def generator_maps(self) -> tuple:
@@ -374,39 +372,56 @@ def conjugacy_partition(view: GroupView) -> ConjugacyPartition:
     )
 
 
-def closure(gens, right, identity, limit: int) -> tuple:
-    """The group generated by gens, as a sorted tuple of elements.
+def closure(gens, right, identity, limit: int) -> tuple[tuple, tuple, tuple]:
+    """(kept, elements, perms): the group generated by the stream gens.
 
-    `right(g)` is the map x -> x.g, made once per generator; OracleError is
-    raised past limit elements.
+    One walk from the identity (Dimino's algorithm without cosets) keeps each
+    generator g outside the points reached so far and closes them at once:
+    old points get their image under x -> x.g = right(g)(x), new points
+    their images under every kept generator, so each product is made once.
+    It stops at limit points and raises OracleError past limit, checked after
+    each point.  elements are sorted; perms[k][i] is the position of
+    elements[i].kept[k].
     """
-    steps = [right(g) for g in sorted({g for g in gens if g != identity})]
-    return tuple(sorted(_orbit(identity, steps, limit)))
-
-
-def find_generators(candidates, right, identity, order: int) -> tuple[tuple, tuple]:
-    """Greedy generators of a group of known order, and its sorted elements.
-
-    Keeps each candidate outside the closure so far and stops once the
-    closure has `order` elements; `order` is also the closure limit, so a
-    candidate outside the intended group raises OracleError.
-    """
-    gens: list = []
-    elements = (identity,)
-    members = {identity}
-    for x in candidates:
-        if x in members:
+    points, ids = [identity], {identity: 0}
+    kept, walks = [], []   # per kept generator, (its map, the image ids)
+    for g in gens:
+        if g in ids:
             continue
-        gens.append(x)
-        elements = closure(gens, right, identity, limit=order)
-        if len(elements) == order:
+        kept.append(g)
+        walks.append((right(g), []))
+        reached = len(points)
+        for x, point in enumerate(points):   # points grows as the walk goes
+            for step, images in (walks[-1:] if x < reached else walks):
+                y = step(point)
+                i = ids.get(y)
+                if i is None:
+                    i = ids[y] = len(points)
+                    points.append(y)
+                images.append(i)
+            if len(points) > limit:
+                raise OracleError(f"closure exceeded limit {limit}")
+        if len(points) == limit:
             break
-        members = set(elements)
-    return tuple(gens), elements
+    ids_sorted = sorted(range(len(points)), key=points.__getitem__)
+    position = sorted(range(len(points)), key=ids_sorted.__getitem__)   # the inverse
+    perms = tuple(tuple(map(position.__getitem__, map(images.__getitem__, ids_sorted)))
+                  for _, images in walks)
+    return tuple(kept), tuple(map(points.__getitem__, ids_sorted)), perms
 
 
-def subgroup_view(parent: GroupView, elements, generators=None) -> GroupView:
-    """The one view of the subgroup with these elements.
+def find_generators(candidates, right, identity, order: int) -> tuple:
+    """The closure of the candidate stream with order as its limit, the
+    greedy generators of a group of known order; OracleError is raised
+    unless it reaches exactly order elements."""
+    kept, elements, perms = closure(candidates, right, identity, order)
+    if len(elements) != order:
+        raise OracleError(f"generators reach {len(elements)} of {order} elements")
+    return kept, elements, perms
+
+
+def subgroup_view(parent: GroupView, generators, elements, perms) -> GroupView:
+    """The one view of the subgroup with these sorted elements.
 
     Returns parent itself when the elements are all of parent, and otherwise
     the view already registered for them, so every fact cached on a view is
@@ -415,27 +430,19 @@ def subgroup_view(parent: GroupView, elements, generators=None) -> GroupView:
     """
     if parent._subgroups is None:
         parent._subgroups = {parent.elements: parent}
-    elements = tuple(sorted(elements))
     view = parent._subgroups.get(elements)
     if view is None:
-        if generators is None:
-            generators = find_generators(elements, parent.right, parent.identity,
-                                         len(elements))[0]
         view = parent._subgroups[elements] = GroupView(
-            elements=elements,
-            generators=tuple(generators),
-            identity=parent.identity,
-            mul=parent.mul,
-            inv=parent.inv,
-            right=parent.right,
-            _subgroups=parent._subgroups,
-        )
+            elements=elements, generators=generators, identity=parent.identity,
+            mul=parent.mul, inv=parent.inv, right=parent.right, perms=perms,
+            _subgroups=parent._subgroups)
     return view
 
 
 def subgroup_closure(parent: GroupView, gens) -> GroupView:
-    elems = closure(list(gens), parent.right, parent.identity, limit=parent.order)
-    return subgroup_view(parent, elems, generators=tuple(gens))
+    """The view of the subgroup of parent generated by the stream gens."""
+    return subgroup_view(parent, *closure(gens, parent.right, parent.identity,
+                                          parent.order))
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +533,8 @@ def _build_group(kind: str, n: int, sp: SignedPrimePower, expected: int) -> Matr
             return False
         return not special or mat_det(g, F) == 1
 
-    gens, elements = find_generators(filter(member, _candidates(n, F)), right,
-                                     identity_matrix(n), expected)
-    if len(elements) != expected:
-        raise OracleError(
-            f"built {len(elements)} elements of {kind}_{n}({sp.q}), expected {expected}"
-        )
+    gens, elements, perms = find_generators(filter(member, _candidates(n, F)), right,
+                                            identity_matrix(n), expected)
     return MatrixGroup(
         elements=elements,
         generators=gens,
@@ -539,6 +542,7 @@ def _build_group(kind: str, n: int, sp: SignedPrimePower, expected: int) -> Matr
         mul=mul,
         inv=lambda a: mat_inv(a, F),
         right=right,
+        perms=perms,
         kind=kind,
         n=n,
         sp=sp,
@@ -630,12 +634,9 @@ def normalizer(view: GroupView, sub: GroupView) -> GroupView:
                 if tree[image] != (conj, k):
                     yield mul(at(transversal[image][1]), at(left[t]))
 
-    kept, elements = find_generators(schreier(), view.right, view.identity, order)
+    found = subgroup_view(view, *find_generators(schreier(), view.right,
+                                                 view.identity, order))
     sub_set = set(sub.elements)
-    if len(elements) != order:
-        raise OracleError(f"Schreier closure has {len(elements)} elements, "
-                          f"expected |G| / |orbit| = {order}")
-    found = subgroup_view(view, elements, kept)
     if not all(mul(mul(n, s), n_inv) in sub_set
                for n, n_inv in zip(found.generators, found.inverses)
                for s in sub.generators):
@@ -651,7 +652,7 @@ def sylow_subgroup(view: GroupView, ell: int) -> GroupView:
     |view|_ell; OracleError is raised if a step gives anything else.
     """
     target, _ = ell_part(view.order, ell)
-    current = subgroup_view(view, [view.identity], generators=())
+    current = subgroup_closure(view, ())
     while current.order < target:
         members = set(current.elements)
         y = next(y for y in normalizer(view, current).elements

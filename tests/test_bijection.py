@@ -361,6 +361,21 @@ def test_ellprime_equiv_fails_on_a_wrong_degree_past_the_first_of_its_type():
         in witnesses
 
 
+def test_a_degree_the_index_does_not_divide_fails_ellprime_equiv(monkeypatch):
+    # GU(2,3) ell=5 with its first and last global degrees swapped: the
+    # Jordan test meets a degree its p'-index does not divide.
+    cell = Cell(2, -1, 3, 5)
+    data = cell_data(cell)
+    degrees = data.group.degrees
+    swapped = replace(data, group=replace(
+        data.group, degrees=degrees[-1:] + degrees[1:-1] + degrees[:1]))
+    monkeypatch.setattr(bijection, "cell_data", lambda c: swapped)
+    rep = bijection.run_cell(cell, with_oracle=False)
+    assert rep["status"] == "fail"
+    assert rep["checks"]["ellprime_equiv"] is False
+    assert any(w["check"] == "ellprime_equiv" for w in rep["witnesses"])
+
+
 TYPE_GROUPS = [(n, eps, q) for n in (1, 2, 3) for eps in (1, -1)
                for q in (2, 3, 4, 5)] + [(4, 1, 3)]
 
@@ -625,13 +640,14 @@ def test_certificates_run_under_optimize():
         "    dixon.character_table(dataclasses.replace(G, _table=None))\n"
         "except CertificateError:\n"
         "    print('raised')\n"
-        "greedy = mo.find_generators\n"
-        "mo.find_generators = lambda c, *rest: greedy(islice(c, 1), *rest)\n"
-        "try:\n"
+        "walk = mo.closure\n"
+        "mo.closure = lambda c, *rest: walk(islice(c, 1), *rest)\n"
+        "try:   # the Schreier closure falls short of |N|\n"
         "    mo.normalizer(G, P)\n"
         "except mo.OracleError:\n"
         "    print('raised')\n"
-        "mo.subgroup_closure = lambda parent, gens: parent   # not a 3-group\n"
+        "trivial = mo.subgroup_closure(G, ())\n"
+        "mo.subgroup_closure = lambda parent, gens: parent if gens else trivial\n"
         "try:\n"
         "    mo.sylow_subgroup(G, 3)\n"
         "except mo.OracleError:\n"

@@ -93,7 +93,7 @@ def test_power_walks_give_orders_and_inverse_classes(view):
 def test_table_reads_only_positions_once_the_regular_representation_exists():
     G = build_group("GL", 3, 2)
     fresh = dataclasses.replace(G, _classes=None, _table=None)
-    fresh.regular   # the only matrix products: |G| per generator
+    fresh.regular   # a walk over the permutations that the build recorded
 
     def refuse(*args):
         raise AssertionError("dixon multiplied matrices")

@@ -18,6 +18,7 @@ from mckaylab.matrixoracle import (
     build_group,
     closure,
     conjugacy_partition,
+    find_generators,
     form_matrix,
     frobenius_map,
     gamma_twist,
@@ -117,7 +118,9 @@ def test_sylow_subgroups_are_ell_groups_of_full_order(key):
 
 def test_sylow_subgroup_rejects_a_step_that_is_not_an_ell_group(monkeypatch):
     G = build_group("GL", 2, 3)
-    monkeypatch.setattr(matrixoracle, "subgroup_closure", lambda parent, gens: parent)
+    trivial = subgroup_closure(G, ())
+    monkeypatch.setattr(matrixoracle, "subgroup_closure",
+                        lambda parent, gens: parent if gens else trivial)
     with pytest.raises(OracleError, match="not a power of 2"):
         sylow_subgroup(G, 2)
 
@@ -131,14 +134,13 @@ def test_sylow_at_prime_not_dividing_is_trivial():
 
 def test_subgroup_views_are_interned_on_the_parent():
     G = build_group("GL", 2, 3)
-    assert subgroup_view(G, G.elements) is G
-    assert subgroup_view(G, reversed(G.elements), G.elements) is G
+    assert subgroup_view(G, G.generators[1:], G.elements, G.perms[1:]) is G
+    assert subgroup_closure(G, reversed(G.elements)) is G
     P = sylow_subgroup(G, 3)
-    again = subgroup_view(G, reversed(P.elements), generators=P.elements[1:])
-    assert again is P
-    assert subgroup_view(G, P.elements) is P
+    assert subgroup_closure(G, reversed(P.elements)) is P
+    assert subgroup_view(G, (), P.elements, ()) is P
     assert subgroup_closure(G, P.elements) is P
-    assert subgroup_view(P, P.elements) is P
+    assert subgroup_closure(P, P.elements) is P
 
 
 @pytest.mark.parametrize("key", [("GL", 2, 4), ("GU", 2, 3), ("SU", 3, 2)])
@@ -232,7 +234,7 @@ def reference_normalizer(view, sub):
     """{g : g S g^-1 = S} by scanning every element of view."""
     sub_set = set(sub.elements)
     gens = sub.generators or sub.elements
-    return subgroup_view(view, [
+    return subgroup_closure(view, [
         g for g in view.elements
         if all(view.mul(view.mul(g, s), view.inv(g)) in sub_set for s in gens)])
 
@@ -252,13 +254,13 @@ def test_normalizer_matches_the_whole_group_scan(key):
 def test_normalizer_rejects_a_short_schreier_closure(monkeypatch):
     G = build_group("GL", 2, 3)
     P = sylow_subgroup(G, 2)
-    greedy = matrixoracle.find_generators
+    walk = matrixoracle.closure
 
-    def first_candidate_only(candidates, right, identity, order):
-        return greedy(islice(candidates, 1), right, identity, order)
+    def first_candidate_only(candidates, right, identity, limit):
+        return walk(islice(candidates, 1), right, identity, limit)
 
-    monkeypatch.setattr(matrixoracle, "find_generators", first_candidate_only)
-    with pytest.raises(OracleError):
+    monkeypatch.setattr(matrixoracle, "closure", first_candidate_only)
+    with pytest.raises(OracleError, match="generators reach [0-9]+ of 16 elements"):
         normalizer(G, P)
 
 
@@ -302,7 +304,7 @@ def _short_view():
     G = build_group("GL", 2, 3)
     return matrixoracle.GroupView(
         elements=G.elements, generators=G.generators[:1], identity=G.identity,
-        mul=G.mul, inv=G.inv, right=G.right)
+        mul=G.mul, inv=G.inv, right=G.right, perms=G.perms[:1])
 
 
 def test_right_perms_need_generators_that_reach_every_element():
@@ -325,8 +327,8 @@ def _in_group(kind, n, q, make=lambda G: G):
     lambda: _in_group("GL", 2, 3),
     lambda: _in_group("GU", 2, 3),
     lambda: _in_group("GU", 2, 3, lambda G: normalizer(G, explicit_torus(G, 5))),
-    lambda: _in_group("GL", 3, 3, lambda G: subgroup_view(
-        G, gggr.u2_elements((3,), G.F))),
+    lambda: _in_group("GL", 3, 3, lambda G: subgroup_closure(
+        G, sorted(gggr.u2_elements((3,), G.F)))),
 ], ids=["GL(2,3)", "GU(2,3)", "NT of GU(2,3) ell=5", "U_2 of GL(3,3) (3)"])
 def test_generator_maps_match_mat_mul(make):
     view, F = make()
@@ -372,9 +374,41 @@ def test_gamma_twist_is_conjugation_by_the_form(kind, n, q):
 
 def test_closure_raises_past_its_limit():
     G = build_group("GL", 2, 3)
-    assert len(closure(G.generators, G.right, G.identity, limit=48)) == 48
+    kept, elements, perms = closure(G.generators, G.right, G.identity, limit=48)
+    assert (kept, elements, perms) == (G.generators, G.elements, G.perms)
     with pytest.raises(OracleError, match="exceeded limit 47"):
         closure(G.generators, G.right, G.identity, limit=47)
+
+    def generators_then_stop():
+        yield from G.generators
+        raise AssertionError("the walk read past its limit")
+
+    found = find_generators(generators_then_stop(), G.right, G.identity, 48)
+    assert found == (G.generators, G.elements, G.perms)
+
+
+def test_each_product_is_made_once_by_the_build_and_none_by_the_classes(monkeypatch):
+    """Building GL(3,3) multiplies each element by each kept generator once;
+    the classes and the representatives' permutations then read positions."""
+    build_group.cache_clear()
+    products = 0
+    multiplier = matrixoracle.right_mul
+
+    def counted_right_mul(b, F):
+        times_b = multiplier(b, F)
+
+        def counted(a):
+            nonlocal products
+            products += 1
+            return times_b(a)
+
+        return counted
+
+    monkeypatch.setattr(matrixoracle, "right_mul", counted_right_mul)
+    G = build_group("GL", 3, 3)
+    assert products == G.order * len(G.generators) == 11232 * 5
+    assert dict(G.right_perms(G.conjugacy_classes().reps))
+    assert products == G.order * len(G.generators)
 
 
 def test_automorphisms_permute_the_group():
