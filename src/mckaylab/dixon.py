@@ -1,13 +1,16 @@
 """Exact character tables of small finite groups.
 
-The table is computed by the classical modular method: the class-sum
-matrices of the centre of the group algebra are simultaneously
-diagonalized over a prime field ``F_r`` with ``r = 1 (mod exp G)``, the
-resulting central characters are converted to character values mod ``r``,
-and those are lifted to the cyclotomic field ``Q(zeta_N)`` through the
-discrete Fourier transform of the eigenvalue multiplicities.  Every step
-is exact integer arithmetic and fully deterministic: no floating point,
-no randomness, and a canonical sort of the finished characters.
+The table is computed by Dixon's modular method (Numer. Math. 10, 1967):
+the class-sum matrices of the centre of the group algebra, each read
+through its nonzero column entries, are simultaneously diagonalized over a
+prime field ``F_r`` with ``r = 1 (mod exp G)``, and a space's own
+coordinates tell which matrices act on it as scalars (Schneider,
+J. Symb. Comput. 9, 1990).  The resulting central characters are
+converted to character values mod ``r`` and lifted to ``Q(zeta_N)``, in
+one arithmetic context per ``N``, through the discrete Fourier transform
+of the eigenvalue multiplicities.  Every step is exact integer arithmetic
+and fully deterministic: no floating point, no randomness, and a
+canonical sort of the finished characters.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import compress, repeat
 
 from .exactfield import CertificateError, isprime, prime_factors
 
@@ -69,19 +72,11 @@ class CycContext:
         self.zero = (0,) * self.deg
         self.one = (1,) + (0,) * (self.deg - 1)
         pows = [self.one]
-        for _ in range(N - 1):
-            pows.append(self._mul_zeta(pows[-1]))
-        self.zeta_pow = tuple(pows)
-        if self._mul_zeta(self.zeta_pow[-1]) != self.one:
+        for _ in range(N):
+            pows.append(self.reduce([0, *pows[-1]]))
+        if pows.pop() != self.one:
             raise CertificateError(f"zeta^{N} is not one")
-
-    def _mul_zeta(self, a: tuple) -> tuple:
-        top = a[-1]
-        out = [0] + list(a[:-1])
-        if top:
-            for i in range(self.deg):
-                out[i] -= top * self.phi[i]
-        return tuple(out)
+        self.zeta_pow = tuple(pows)
 
     def from_int(self, c: int) -> tuple:
         return (c,) + (0,) * (self.deg - 1)
@@ -98,22 +93,29 @@ class CycContext:
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        out = prod[: self.deg] + [0] * (self.deg - min(self.deg, len(prod)))
-        for i in range(self.deg, len(prod)):
-            c = prod[i]
-            if c:
-                zp = self.zeta_pow[i % self.N]
-                for t in range(self.deg):
-                    out[t] += c * zp[t]
-        return tuple(out)
+        return self.reduce(prod)
 
     def from_powers(self, terms) -> tuple:
         """sum c.zeta^e over (e, c) pairs: the image of an element of Z[C_N]."""
-        out = self.zero
+        out = [0] * self.deg
         for e, c in terms:
+            if e < self.deg:   # zeta^e is a basis element
+                out[e] += c
+            elif c:
+                for i, z in enumerate(self.zeta_pow[e]):
+                    out[i] += c * z
+        return tuple(out)
+
+    def reduce(self, coeffs: list) -> tuple:
+        """The image in Z[zeta_N] of the polynomial with little-endian
+        coefficients coeffs, divided by Phi_N in place from the top."""
+        deg, phi = self.deg, self.phi
+        for i in range(len(coeffs) - 1, deg - 1, -1):
+            c = coeffs[i]
             if c:
-                out = self.add(out, self.scal(c, self.zeta_pow[e]))
-        return out
+                for j, x in enumerate(phi, i - deg):
+                    coeffs[j] -= c * x
+        return tuple(coeffs[:deg])
 
     def galois(self, a: tuple, t: int) -> tuple:
         """Apply zeta -> zeta^t; a field automorphism when gcd(t, N) = 1."""
@@ -147,6 +149,9 @@ class CycContext:
                 raise CertificateError("inexact division of a cyclotomic integer")
             out.append(q)
         return tuple(out)
+
+
+_context = cache(CycContext)   # one context per N, built on first use
 
 
 @dataclass(frozen=True)
@@ -190,52 +195,41 @@ def _reduce(vecs, r):
         for p, prow in zip(pivots, rows):
             c = v[p]
             if c:
-                for t in range(len(v)):
-                    v[t] = (v[t] - c * prow[t]) % r
+                v = [(x - c * y) % r for x, y in zip(v, prow)]
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             continue
         inv = pow(v[p], -1, r)
         v = [x * inv % r for x in v]
-        for prow in rows:
+        for i, prow in enumerate(rows):
             c = prow[p]
             if c:
-                for t in range(len(v)):
-                    prow[t] = (prow[t] - c * v[t]) % r
+                rows[i] = [(x - c * y) % r for x, y in zip(prow, v)]
         rows.append(v)
         pivots.append(p)
     return rows, pivots
 
 
-def _rref(vecs, r):
-    """Reduced row echelon basis (rows, pivot columns) of the span."""
-    rows, pivots = _reduce(vecs, r)
-    if len(rows) != len(vecs):
-        raise CertificateError("dependent vector in eigenbasis")
-    order = sorted(range(len(rows)), key=lambda i: pivots[i])
-    return [rows[i] for i in order], [pivots[i] for i in order]
-
-
 def _express(v, rows, pivots, r):
-    """Coordinates of v in an RREF basis; v must lie in the span."""
-    v = [x % r for x in v]
-    coords = []
-    for p, prow in zip(pivots, rows):
-        c = v[p]
-        coords.append(c)
+    """Coordinates of v, with entries in [0, r), in a basis whose rows are 1
+    at their own pivot and 0 at the others; v must lie in the span."""
+    coords = [v[p] for p in pivots]
+    for c, prow in zip(coords, rows):
         if c:
-            for t in range(len(v)):
-                v[t] = (v[t] - c * prow[t]) % r
-    if any(v):
+            v = [x - c * y for x, y in zip(v, prow)]
+    if any(x % r for x in v):
         raise CertificateError("vector escapes the invariant subspace")
     return coords
 
 
-def _matvec(m, v, r):
-    """m.v mod r, reading only the entries of m's rows where v is nonzero."""
-    nz = [j for j, x in enumerate(v) if x]
-    vals = [v[j] for j in nz]
-    return [sum(map(operator.mul, map(mi.__getitem__, nz), vals)) % r for mi in m]
+def _matvec(cols, v, r):
+    """m.v mod r, from the (row, entry) pairs of m's nonzero column entries."""
+    out = [0] * len(v)
+    for x, col in zip(v, cols):
+        if x:
+            for j, c in col:
+                out[j] += c * x
+    return [y % r for y in out]
 
 
 def _charpoly(a, r):
@@ -306,52 +300,71 @@ def _eigenvalues(a, r):
 
 
 def _nullspace(a, lam, r):
-    """Basis of ker(a - lam) in coordinates, via RREF free columns."""
+    """Basis of ker(a - lam) in coordinates, via RREF free columns, and those
+    columns: each basis vector is 1 at its own free column, 0 at the others."""
     m = len(a)
     rows, pivots = _reduce(
         [[a[i][j] - (lam if i == j else 0) for j in range(m)] for i in range(m)], r)
+    free = [f for f in range(m) if f not in pivots]
     basis = []
-    for f in range(m):
-        if f in pivots:
-            continue
+    for f in free:
         v = [0] * m
         v[f] = 1
         for row, p in zip(rows, pivots):
             v[p] = (-row[f]) % r
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def _split_common_eigenspaces(mats, r):
-    """Common one-dimensional eigenvectors of commuting matrices over F_r."""
+    """Common one-dimensional eigenvectors of commuting matrices over F_r.
+
+    A space is (rows, pivots), each row 1 at its own pivot and 0 at the
+    others.  Row 0 of mats[l] is the unit vector at l, so mats[l] has the
+    eigenvalue v[l]/v[0] on a common eigenvector v.  A space whose rows b
+    all have b[l] = lam.b[0] is kept once mats[l].b = lam.b on every row;
+    any other is split through its restricted matrix, on the start space
+    (the identity basis) mats[l] itself.
+    """
     size = len(mats)
     start = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     spaces = [(start, list(range(size)))]
-    for m in mats:
+    for l, m in enumerate(mats):
+        if all(len(rows) == 1 for rows, _ in spaces):
+            break
+        cols = [list(compress(enumerate(col), col)) for col in zip(*m)]
         refined = []
         for rows, pivots in spaces:
-            dim = len(rows)
-            if dim == 1:
+            if len(rows) == 1:
                 refined.append((rows, pivots))
                 continue
-            images = [_matvec(m, b, r) for b in rows]
-            coords = [_express(img, rows, pivots, r) for img in images]
-            # restricted matrix: column j = coords of image of basis row j
-            a = [[coords[j][i] for j in range(dim)] for i in range(dim)]
-            if all(a[i][j] == (a[0][0] if i == j else 0)
-                   for i in range(dim) for j in range(dim)):
-                # m acts as a scalar: the space is one eigenspace already
+            b = next((b for b in rows if b[0]), None)
+            if b is None:
+                raise CertificateError("eigenspace vanishes at the identity class")
+            lam = b[l] * pow(b[0], -1, r) % r
+            if all((row[l] - lam * row[0]) % r == 0 for row in rows):
+                # m acts as the scalar lam: the space is one eigenspace already
+                if any(_matvec(cols, row, r) != [lam * x % r for x in row]
+                       for row in rows):
+                    raise CertificateError("vector escapes the invariant subspace")
                 refined.append((rows, pivots))
                 continue
-            cols = tuple(zip(*rows))
+            if rows is start:
+                a, basis = m, None
+            else:
+                # restricted matrix: column j = coords of the image of row j
+                a = list(zip(*(_express(_matvec(cols, row, r), rows, pivots, r)
+                               for row in rows)))
+                basis = tuple(zip(*rows))
             found = 0
             for lam in _eigenvalues(a, r):
-                nb = _nullspace(a, lam, r)
+                nb, free = _nullspace(a, lam, r)
                 found += len(nb)
-                vecs = [[sum(map(operator.mul, c, col)) % r for col in cols]
-                        for c in nb]
-                refined.append(_rref(vecs, r))
-            if found != dim:
+                vecs = nb if basis is None else [
+                    [sum(map(operator.mul, c, col)) % r for col in basis] for c in nb]
+                # null vector f is 1 at pivots[f] and 0 at the others
+                refined.append((vecs, [pivots[f] for f in free]))
+            if found != len(rows):
                 raise CertificateError("class matrix failed to split over F_r")
         spaces = refined
     if any(len(rows) != 1 for rows, _ in spaces):
@@ -446,7 +459,7 @@ def _build_table(view) -> CharacterTable:
 
     mats, power_classes = _class_matrices(view, part)
     N = math.lcm(*map(len, power_classes))
-    ctx = CycContext(N)
+    ctx = _context(N)
     r = _find_prime(N, order, n_classes)
 
     inv_class = tuple(walk[-1] for walk in power_classes)
@@ -515,7 +528,7 @@ def _build_table(view) -> CharacterTable:
             for e, m in spectrum:
                 for e_inv, m_inv in spectra[k_inv]:
                     coeffs[(e + e_inv) % N] += size * m * m_inv
-        if ctx.from_powers(enumerate(coeffs)) != ctx.from_int(order):
+        if ctx.reduce(coeffs) != ctx.from_int(order):
             raise CertificateError("character norm is not one")
         chars.append(tuple(row))
 

@@ -251,6 +251,54 @@ def test_wrong_charpoly_fails_the_table(monkeypatch):
         dixon.character_table(fresh)
 
 
+def scalar_steps(mats, r):
+    """The classes l whose matrix acts as a scalar on every space of dim > 1
+    that the split holds when it reaches l.  Those spaces are spanned by the
+    central characters (omegas) that agree on every class before l."""
+    omegas = [[x * pow(v[0], -1, r) % r for x in v]
+              for v in dixon._split_common_eigenspaces(mats, r)]
+    groups, steps = [omegas], []
+    for l in range(len(mats)):
+        big = [g for g in groups if len(g) > 1]
+        if not big:
+            break
+        if all(len({w[l] for w in g}) == 1 for g in big):
+            steps.append(l)
+        groups = [[w for w in g if w[l] == x]
+                  for g in groups for x in dict.fromkeys(w[l] for w in g)]
+    return steps
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["identity on the start space",
+                                               "a class on proper subspaces"])
+def test_a_class_matrix_kept_by_the_ratio_test_is_still_checked(monkeypatch, which):
+    """On a common eigenvector v the eigenvalue of class l is v[l]/v[0], so
+    the split keeps a space from its coordinates alone.  One wrong entry of
+    a class matrix that is a scalar on every space it meets, and so is read
+    nowhere else, fails the row check m.b = lam.b."""
+    G = build_group("GU", 2, 2)
+    part = G.conjugacy_classes()
+    mats, walks = dixon._class_matrices(G, part)
+    r = dixon._find_prime(math.lcm(*map(len, walks)), G.order, part.count)
+    l = scalar_steps(mats, r)[which]
+    assert l > 0 if which else l == 0
+    bad = [[list(row) for row in m] for m in mats]
+    bad[l][1][0] += 1
+    monkeypatch.setattr(dixon, "_class_matrices", lambda view, part: (bad, walks))
+    with pytest.raises(CertificateError, match="vector escapes the invariant subspace"):
+        dixon.character_table(dataclasses.replace(G, _table=None))
+
+
+def test_an_eigenspace_that_vanishes_at_the_identity_class_is_refused():
+    """A common eigenvector v has v[0] != 0, since the eigenvalue of class l
+    is v[l]/v[0].  The second matrix leaves the 7-eigenspace span(e1, e2),
+    zero at coordinate 0, for the third to meet."""
+    one = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    mats = [one, [[5, 0, 0], [0, 7, 0], [0, 0, 7]], one]
+    with pytest.raises(CertificateError, match="vanishes at the identity class"):
+        dixon._split_common_eigenspaces(mats, 11)
+
+
 def test_a_shifted_spectrum_fails_the_norm(monkeypatch):
     """One eigenvalue of one class moved onto another: the multiplicities
     still sum to the degree, but the character's norm is no longer one."""

@@ -31,6 +31,9 @@ PINS = [
     ("GL", 3, 2, "a81776c4d5643fade0322ba0361362565b301da8dc78876358fe8b40bda699f1"),
     ("GU", 3, 2, "f5958f8308040e08fb01bedfb434a6c4f401a64a78942d0032087f2ea30f54cf"),
     ("SL", 2, 5, "0c5a8311b32e338f41aa8e168ea40bec9c859d752a47892c9cc530876ef51965"),
+    # k = 48 and k = 64, past the |G| = 480, k = 24 of the pins above
+    ("GL", 2, 7, "d522aba6db59173e95583b525f378aefe9adb4cdc3dad7dc81f8549469f8a477"),
+    ("GU", 2, 7, "4a9c41df773f208b004eb4fa9f7a3243bfe9453d2aead68962cf6664c138c39a"),
 ]
 
 
