@@ -20,9 +20,9 @@ Reports are plain dicts with stable keys so the CLI can serialize them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, permutations, product
+from typing import NamedTuple
 
 from .exactfield import (
     CertificateError,
@@ -76,33 +76,45 @@ GRID_Q = (2, 3, 4, 5, 7)
 GRID_ELL = (2, 3, 5, 7)
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
-    """One verification unit: the group GL_n(eps q) at the prime ell.
+@cache
+def _cell_sp(eps: int, q: int) -> SignedPrimePower:
+    """Cell.sp: a cell keeps only its four fields, so sp is memoised here."""
+    return spp(eps, q)
 
-    Construction rejects cells on which the certificates are undefined:
-    n >= 1, eps in {+1, -1}, q a prime power and ell a prime not dividing q,
-    else ValueError.
-    """
 
+class _CellFields(NamedTuple):
     n: int
     eps: int
     q: int
     ell: int
-    sp: SignedPrimePower = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n={self.n} must be >= 1")
-        if self.eps not in (1, -1):
-            raise ValueError(f"eps={self.eps} must be +1 or -1")
-        sp = spp(self.eps, self.q)
-        if not isprime(self.ell):
-            raise ValueError(f"ell={self.ell} is not prime")
-        if sp.p == self.ell:
-            raise ValueError(
-                f"ell={self.ell} divides q={self.q}: the cell is undefined")
-        object.__setattr__(self, "sp", sp)
+
+class Cell(_CellFields):
+    """One verification unit: the group GL_n(eps q) at the prime ell.
+
+    Construction rejects cells on which the certificates are undefined:
+    n >= 1, eps in {+1, -1}, q a prime power and ell a prime not dividing q,
+    else ValueError.  A named tuple: cells order, compare, hash and pickle
+    by (n, eps, q, ell); sp, the signed field size, is derived from (eps, q).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, eps: int, q: int, ell: int) -> Cell:
+        if n < 1:
+            raise ValueError(f"n={n} must be >= 1")
+        if eps not in (1, -1):
+            raise ValueError(f"eps={eps} must be +1 or -1")
+        p = _cell_sp(eps, q).p
+        if not isprime(ell):
+            raise ValueError(f"ell={ell} is not prime")
+        if p == ell:
+            raise ValueError(f"ell={ell} divides q={q}: the cell is undefined")
+        return super().__new__(cls, n, eps, q, ell)
+
+    @property
+    def sp(self) -> SignedPrimePower:
+        return _cell_sp(self.eps, self.q)
 
     @property
     def kind(self) -> str:
@@ -138,7 +150,6 @@ def local_to_params(psi: LocalChar) -> dict:
 # per-cell label data, computed once
 
 
-@dataclass(frozen=True, eq=False)
 class CellData:
     """Label-level facts of one cell, computed once and read by every check.
 
@@ -148,11 +159,12 @@ class CellData:
     characters without a local image.
     """
 
-    cell: Cell
-    group: LabelTable
-    local: LabelTable
-    pairs: tuple
-    transport_errors: tuple
+    __slots__ = ("cell", "group", "local", "pairs", "transport_errors")
+
+    def __init__(self, cell: Cell, group: LabelTable, local: LabelTable,
+                 pairs: tuple, transport_errors: tuple) -> None:
+        self.cell, self.group, self.local = cell, group, local
+        self.pairs, self.transport_errors = pairs, transport_errors
 
 
 def cell_data(cell: Cell) -> CellData:

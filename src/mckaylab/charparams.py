@@ -13,7 +13,6 @@ relevance tests used by the local-global comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 from typing import NamedTuple
@@ -92,21 +91,21 @@ def zhat_act(chi: GlobalChar, sp: SignedPrimePower, z: int) -> GlobalChar:
     return GlobalChar(cls, tuple(lam for _, (_, lam) in moved))
 
 
-@dataclass(frozen=True, eq=False)
 class LabelTable:
     """Label-level facts of every irreducible character on one side.
 
     Entry i describes chars[i]: its degree, central character, translation
     stabilizer order, and shift[i], the position of its translate by 1 in
     Z/M_1 (by z: shift applied z times).  The same type serves G and N.
+    index maps each character to its position.
     """
 
-    chars: tuple
-    index: dict
-    degrees: tuple
-    centrals: tuple
-    shift: tuple
-    stabs: tuple
+    __slots__ = ("chars", "index", "degrees", "centrals", "shift", "stabs")
+
+    def __init__(self, chars: tuple, index: dict, degrees: tuple,
+                 centrals: tuple, shift: tuple, stabs: tuple) -> None:
+        self.chars, self.index, self.degrees = chars, index, degrees
+        self.centrals, self.shift, self.stabs = centrals, shift, stabs
 
     def relevant(self, ell: int) -> tuple:
         """Positions of the characters over an ell-prime character of the

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import click
@@ -156,6 +155,8 @@ def verify(n, q, eps, ell, grid, out, fmt, workers, limit, with_oracle,
     cells = sorted(cells)
     workers = min(workers, len(cells))
     if workers > 1:
+        # imported here: the pool's modules would add to every cold start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_cell, cells, repeat(limit),
                                     repeat(with_oracle)))

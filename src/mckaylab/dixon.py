@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .exactfield import CertificateError, isprime, prime_factors
 
@@ -154,8 +154,7 @@ class CycContext:
 _context = cache(CycContext)   # one context per N, built on first use
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(NamedTuple):
     """An exact cyclotomic-valued class function on a GroupView."""
 
     view: object
@@ -168,8 +167,7 @@ class ClassFunction:
         return self.ctx.as_int(self.values[0])
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     view: object
     part: object
     ctx: CycContext

@@ -21,7 +21,6 @@ e-quotient becomes the wreath label of a torus-character block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 from typing import NamedTuple
@@ -62,14 +61,14 @@ class TransportError(ValueError):
     """A supposedly relevant global character has no local image."""
 
 
-@dataclass(frozen=True)
 class TorusData:
-    d0: int
-    a: int
-    m: int
-    Q: int
-    sigma: int
-    m1: int
+    """The shape of N at one cell: d0, a = n // d0, m = n % d0, the torus
+    modulus Q = M_d0, the sign sigma = eps^(d0 + 1) and M_1."""
+
+    __slots__ = ("d0", "a", "m", "Q", "sigma", "m1")
+
+    def __init__(self, d0: int, a: int, m: int, Q: int, sigma: int, m1: int) -> None:
+        self.d0, self.a, self.m, self.Q, self.sigma, self.m1 = d0, a, m, Q, sigma, m1
 
 
 @cache

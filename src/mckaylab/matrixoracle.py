@@ -10,9 +10,9 @@ field-encoded ints, so they hash and sort deterministically.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import islice, permutations, product
+from typing import NamedTuple
 
 from .exactfield import (
     FiniteField,
@@ -207,7 +207,6 @@ def form_matrix(n: int, F: FiniteField) -> Matrix:
 # group views
 
 
-@dataclass
 class GroupView:
     """A finite group given by an explicit element list and multiplication.
 
@@ -218,20 +217,17 @@ class GroupView:
     generators' inverses and the tree of words with the position maps read
     off it are made lazily and kept.  Elements are sorted, so positions order them.
     `_subgroups` maps sorted element tuples to views; a view and every
-    subgroup view made from it share one such registry.
+    subgroup view made from it share one such registry.  A view equals only
+    itself and hashes by identity: each subgroup has one registered view,
+    and no caller compares two views by value.
     """
 
-    elements: tuple
-    generators: tuple
-    identity: object
-    mul: object
-    inv: object
-    right: object
-    perms: tuple = field(repr=False, compare=False)
-    _index: dict = field(default=None, repr=False)
-    _classes: object = field(default=None, repr=False)
-    _table: object = field(default=None, repr=False, compare=False)
-    _subgroups: dict = field(default=None, repr=False, compare=False)
+    def __init__(self, elements: tuple, generators: tuple, identity, mul, inv,
+                 right, perms: tuple, _subgroups: dict | None = None) -> None:
+        self.elements, self.generators, self.identity = elements, generators, identity
+        self.mul, self.inv, self.right, self.perms = mul, inv, right, perms
+        self._index = self._classes = self._table = None
+        self._subgroups = _subgroups
 
     @property
     def order(self) -> int:
@@ -314,8 +310,7 @@ class GroupView:
             stack.extend((y, perm) for y in children.get(x, ()))
 
 
-@dataclass
-class ConjugacyPartition:
+class ConjugacyPartition(NamedTuple):
     reps: tuple
     sizes: tuple[int, ...]
     class_of: tuple   # the class of each element position
@@ -449,13 +444,14 @@ def subgroup_closure(parent: GroupView, gens) -> GroupView:
 # matrix groups
 
 
-@dataclass
 class MatrixGroup(GroupView):
-    kind: str = ""
-    n: int = 0
-    sp: SignedPrimePower = None
-    F: FiniteField = None
-    v0: Matrix = None
+    """The view of the group kind (GL, SL, GU or SU) of degree n at sp, with
+    its entries in F and v0 the form of the unitary kinds."""
+
+    def __init__(self, kind: str, n: int, sp: SignedPrimePower, F: FiniteField,
+                 v0: Matrix, **view) -> None:
+        super().__init__(**view)
+        self.kind, self.n, self.sp, self.F, self.v0 = kind, n, sp, F, v0
 
 
 def _candidates(n: int, F: FiniteField):

@@ -6,7 +6,6 @@ import pickle
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -226,17 +225,35 @@ def test_run_grid_ok_on_small_sample():
     assert [r["cell"]["kind"] for r in reports] == ["GU", "GL"]
 
 
-@pytest.mark.parametrize("args", [
-    (2, 1, 3, 4),   # composite ell
-    (3, 1, 5, 9),   # ell a prime power, not a prime
-    (2, 1, 3, 3),   # ell divides q
-    (2, 1, 6, 5),   # q not a prime power
-    (2, 0, 3, 2),   # eps not a sign
-    (0, 1, 3, 2),   # empty rank
-])
+INVALID_CELLS = {   # each row with the message of its first fault
+    (2, 1, 3, 4): "ell=4 is not prime",       # composite ell
+    (3, 1, 5, 9): "ell=9 is not prime",       # a prime power, not a prime
+    (2, 1, 3, 3): "ell=3 divides q=3",
+    (2, 1, 6, 5): "6 is not a prime power",
+    (2, 0, 3, 2): "eps=0 must be",            # eps not a sign
+    (0, 1, 3, 2): "n=0 must be",              # empty rank
+}
+
+
+@pytest.mark.parametrize("args", list(INVALID_CELLS))
 def test_cell_rejects_invalid_parameters(args):
-    with pytest.raises(ValueError):
+    # Cell(*row) itself refuses the row, before any attribute is read
+    with pytest.raises(ValueError, match=INVALID_CELLS[args]):
         Cell(*args)
+
+
+def test_cell_record_semantics():
+    grid = default_grid()
+    assert list(grid) == sorted(grid, key=lambda c: (c.n, c.eps, c.q, c.ell))
+    assert repr(Cell(2, 1, 3, 2)) == "Cell(n=2, eps=1, q=3, ell=2)"
+    a, b = Cell(2, -1, 4, 5), Cell(2, -1, 4, 5)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert a != Cell(2, -1, 4, 3) and a < Cell(2, 1, 2, 3)
+    back = pickle.loads(pickle.dumps(grid))
+    assert back == grid
+    assert [c.sp for c in back] == [c.sp for c in grid] \
+        == [spp(c.eps, c.q) for c in grid]
 
 
 @st.composite
@@ -259,6 +276,13 @@ def test_random_small_valid_cells_are_ok(cell):
 
 def _set(entries: tuple, k: int, value) -> tuple:
     return entries[:k] + (value,) + entries[k + 1:]
+
+
+def replace(record, **changes):
+    """A new record of the slotted type of record, with its fields and
+    changes over them."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def _wrong_image(data):
@@ -629,15 +653,18 @@ def test_certificates_run_under_optimize():
         "    ctx.divide_int(ctx.from_int(3), 2)\n"
         "except CertificateError:\n"
         "    print('raised')\n"
-        "import dataclasses\n"
         "from itertools import islice\n"
         "from mckaylab import dixon, matrixoracle as mo\n"
         "G = mo.build_group('GL', 2, 3)\n"
+        "def fresh(G):   # a new view from G's fields, with nothing G computed\n"
+        "    return mo.MatrixGroup(G.kind, G.n, G.sp, G.F, G.v0,\n"
+        "        elements=G.elements, generators=G.generators, identity=G.identity,\n"
+        "        mul=G.mul, inv=G.inv, right=G.right, perms=G.perms)\n"
         "P = mo.sylow_subgroup(G, 2)\n"
         "charpoly = dixon._charpoly\n"
         "dixon._charpoly = lambda a, r: [c + 1 for c in charpoly(a, r)]\n"
         "try:\n"
-        "    dixon.character_table(dataclasses.replace(G, _table=None))\n"
+        "    dixon.character_table(fresh(G))\n"
         "except CertificateError:\n"
         "    print('raised')\n"
         "dixon._charpoly = charpoly\n"
@@ -645,7 +672,7 @@ def test_certificates_run_under_optimize():
         "mats[0][1][0] += 1   # the identity's, kept by the ratio test\n"
         "dixon._class_matrices = lambda view, part: (mats, walks)\n"
         "try:\n"
-        "    dixon.character_table(dataclasses.replace(G, _table=None))\n"
+        "    dixon.character_table(fresh(G))\n"
         "except CertificateError:\n"
         "    print('raised')\n"
         "walk = mo.closure\n"

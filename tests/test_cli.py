@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -309,8 +310,9 @@ class _RecordingPool:
 
 
 def _record_pools(monkeypatch) -> list:
+    # verify imports the pool from concurrent.futures when it starts one
     made = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(made, max_workers))
     return made
 

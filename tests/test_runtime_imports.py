@@ -1,7 +1,12 @@
-"""sympy is a test-only dependency: the package never imports it.
+"""What a cold `mckaylab` process imports.
 
-Importing sympy used to take most of a cold `mckaylab` process, so these
-tests pin that neither the import graph nor the source names it.
+sympy is a test-only dependency: importing it used to take most of a cold
+process.  dataclasses pulls in inspect, ast, dis and tokenize and execs the
+methods of every decorated class, about a quarter of the package's own
+import; the package's records are named tuples and plain classes instead.
+concurrent.futures (with multiprocessing and logging) is imported by
+`verify` only when it starts a pool.  These tests pin the import graph and
+the source.
 """
 
 import ast
@@ -12,17 +17,38 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+FORBIDDEN = {"sympy", "dataclasses"}   # never imported by a module in src/
 
-def test_importing_the_package_leaves_sympy_unloaded():
+
+def _loaded_after(imports: str, names) -> dict:
+    """{name: whether it is in sys.modules} after the imports, in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = ("import sys, mckaylab, mckaylab.gggr, mckaylab.cli; "
-            "print('sympy' in sys.modules)")
+    code = (f"import sys, {imports}; "
+            f"print(*[m in sys.modules for m in {sorted(names)!r}])")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    return dict(zip(sorted(names), (w == "True" for w in out.stdout.split())))
 
 
-def test_no_module_in_src_imports_sympy():
+def test_importing_the_package_leaves_sympy_unloaded():
+    assert _loaded_after("mckaylab, mckaylab.gggr, mckaylab.cli",
+                         ["sympy"]) == {"sympy": False}
+
+
+def test_importing_the_package_leaves_dataclasses_and_inspect_unloaded():
+    assert _loaded_after("mckaylab, mckaylab.gggr",
+                         ["dataclasses", "inspect"]) \
+        == {"dataclasses": False, "inspect": False}
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # click itself imports inspect, so only the pool is pinned here
+    assert _loaded_after("mckaylab.cli", ["concurrent.futures"]) \
+        == {"concurrent.futures": False}
+
+
+def test_no_module_in_src_imports_a_forbidden_module():
     offenders = []
     for path in sorted((SRC / "mckaylab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -33,5 +59,5 @@ def test_no_module_in_src_imports_sympy():
             else:
                 continue
             offenders += [f"{path.name}: {name}" for name in names
-                          if name.split(".")[0] == "sympy"]
+                          if name.split(".")[0] in FORBIDDEN]
     assert offenders == []
