@@ -29,21 +29,20 @@ from .exactfield import (
 )
 from .partitions import e_core_quotient, generic_degree, partitions, wreath_degree
 from .ssclasses import (
-    SSClass,
     centralizer_order,
     centralizer_type,
     eigen_modulus,
     enumerate_ss_classes,
     norm_exponent,
     pgl_ss_classes,
-    translated_factors,
+    zhat_translate,
 )
 
 
 class GlobalChar(NamedTuple):
     """Jordan parameter: semisimple class plus one partition per factor."""
 
-    cls: SSClass
+    cls: tuple
     parts: tuple
 
 
@@ -51,7 +50,7 @@ class GlobalChar(NamedTuple):
 def enumerate_irr(n: int, sp: SignedPrimePower) -> tuple:
     out = []
     for cls in enumerate_ss_classes(n, sp):
-        mults = [m for _, m in cls.factors]
+        mults = [m for _, m in cls]
         for parts in iproduct(*(partitions(m) for m in mults)):
             out.append(GlobalChar(cls, parts))
     return tuple(out)
@@ -62,7 +61,7 @@ def char_type(chi: GlobalChar) -> tuple:
     sorted.  The degree, the centralizer index and the ell-prime tests read
     chi only through its type (J. A. Green, Trans. AMS 80, 1955)."""
     return tuple(sorted((k, m, lam) for ((k, _), m), lam
-                        in zip(chi.cls.factors, chi.parts)))
+                        in zip(chi.cls, chi.parts)))
 
 
 @cache
@@ -73,22 +72,17 @@ def index_order(ctype: tuple, n: int, sp: SignedPrimePower) -> int:
 
 def degree(chi: GlobalChar, n: int, sp: SignedPrimePower) -> int:
     idx = ell_part(index_order(centralizer_type(chi.cls), n, sp), sp.p)[1]
-    for ((k, _), _), lam in zip(chi.cls.factors, chi.parts):
+    for ((k, _), _), lam in zip(chi.cls, chi.parts):
         idx *= generic_degree(lam, factor_field(k, sp))
     return idx
 
 
-def central_char(chi: GlobalChar, sp: SignedPrimePower) -> int:
-    """Exponent in Z/M_1 by which the centre acts."""
-    return norm_exponent(chi.cls, sp)
-
-
 def zhat_act(chi: GlobalChar, sp: SignedPrimePower, z: int) -> GlobalChar:
     """Tensor by the z-th power of the determinant-type linear character."""
-    moved = translated_factors([(lab, (m, lam)) for (lab, m), lam
-                                in zip(chi.cls.factors, chi.parts)], sp, z)
-    cls = SSClass(tuple((lab, m) for lab, (m, _) in moved))
-    return GlobalChar(cls, tuple(lam for _, (_, lam) in moved))
+    moved = zhat_translate([(lab, (m, lam)) for (lab, m), lam
+                            in zip(chi.cls, chi.parts)], sp, z)
+    return GlobalChar(tuple((lab, m) for lab, (m, _) in moved),
+                      tuple(lam for _, (_, lam) in moved))
 
 
 class LabelTable:
@@ -163,7 +157,7 @@ def group_table(n: int, sp: SignedPrimePower) -> LabelTable:
         return deg
 
     return label_table(enumerate_irr(n, sp), type_degree,
-                       lambda chi: central_char(chi, sp),
+                       lambda chi: norm_exponent(chi.cls, sp),
                        lambda chi: zhat_act(chi, sp, 1), eigen_modulus(1, sp))
 
 
@@ -178,7 +172,7 @@ def count_ellprime(n: int, sp: SignedPrimePower, ell: int) -> int:
 
 def _factors_ellprime(chi: GlobalChar, sp: SignedPrimePower, ell: int) -> bool:
     """Every factor has an e-core smaller than e and an ell-prime quotient."""
-    for ((k, _), _), lam in zip(chi.cls.factors, chi.parts):
+    for ((k, _), _), lam in zip(chi.cls, chi.parts):
         e = order_for_ell(factor_field(k, sp).eq, ell)
         core, quot, _ = e_core_quotient(lam, e)
         if sum(core) >= e or ell_val(wreath_degree(quot), ell) != 0:
@@ -236,7 +230,7 @@ def count_jordan_params(n: int, sp: SignedPrimePower) -> int:
     for orbit in pgl_ss_classes(n, sp):
         cls, o = orbit[0], len(orbit)
         a = m1 // o   # |A(s)|
-        multis = list(iproduct(*(partitions(m) for _, m in cls.factors)))
+        multis = list(iproduct(*(partitions(m) for _, m in cls)))
         index = {parts: i for i, parts in enumerate(multis)}
         step = lambda i: index[zhat_act(GlobalChar(cls, multis[i]), sp, o).parts]
         total += sum(a // len(c) for c in cycles(len(multis), step, a))
@@ -245,6 +239,6 @@ def count_jordan_params(n: int, sp: SignedPrimePower) -> int:
 
 def to_params(chi: GlobalChar) -> dict:
     return {
-        "factors": [[k, e, m] for (k, e), m in chi.cls.factors],
+        "factors": [[k, e, m] for (k, e), m in chi.cls],
         "parts": [list(p) for p in chi.parts],
     }

@@ -48,7 +48,6 @@ from .partitions import (
     wreath_labels,
 )
 from .ssclasses import (
-    SSClass,
     centralizer_type,
     eigen_modulus,
     enumerate_ss_classes,
@@ -248,7 +247,7 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
     td = torus_data(n, sp, ell)
     core_factors = []
     blocks = []
-    for ((k, e_lab), mult), lam in zip(chi.cls.factors, chi.parts):
+    for ((k, e_lab), mult), lam in zip(chi.cls, chi.parts):
         sub = factor_field(k, sp)
         e = order_for_ell(sub.eq, ell)
         core, quot, w = e_core_quotient(lam, e)
@@ -274,7 +273,7 @@ def transport(chi: GlobalChar, n: int, sp: SignedPrimePower, ell: int) -> LocalC
 
     core_factors.sort(key=lambda t: (t[0], t[1]))
     chi_m = GlobalChar(
-        SSClass(tuple((lab, c) for lab, c, _ in core_factors)),
+        tuple((lab, c) for lab, c, _ in core_factors),
         tuple(core for _, _, core in core_factors),
     )
     blocks.sort(key=lambda pair: pair[0])
@@ -307,7 +306,7 @@ def enumerate_ellprime_params(n: int, sp: SignedPrimePower, ell: int) -> tuple:
             prime_index[ctype] = ell_val(index_order(ctype, n, sp), ell) == 0
         if not prime_index[ctype]:
             continue
-        for (k, _), mult in cls.factors:
+        for (k, _), mult in cls:
             if (k, mult) not in pools:
                 e = order_for_ell(factor_field(k, sp).eq, ell)
                 quots = [
@@ -317,7 +316,7 @@ def enumerate_ellprime_params(n: int, sp: SignedPrimePower, ell: int) -> tuple:
                 ]
                 pools[k, mult] = [(c, qu) for c in partitions(mult % e)
                                   for qu in quots]
-        for combo in iproduct(*(pools[k, mult] for (k, _), mult in cls.factors)):
+        for combo in iproduct(*(pools[k, mult] for (k, _), mult in cls)):
             out.append(
                 (cls, tuple(c for c, _ in combo), tuple(qu for _, qu in combo))
             )

@@ -256,16 +256,15 @@ class GroupView:
         return tuple(map(self.inv, self.generators))
 
     @cached_property
-    def regular(self) -> tuple:
-        """(perms, tree): the generators' right-regular permutations, perm[i]
-        the position of elements[i].g, and their _orbit tree from the
-        identity, a tree of words.  OracleError is raised unless the tree
-        reaches every element, so the generators generate."""
+    def regular(self) -> dict:
+        """The _orbit tree from the identity of the generators' right-regular
+        permutations self.perms, a tree of words.  OracleError is raised
+        unless the tree reaches every element, so the generators generate."""
         tree = _orbit(self.index[self.identity],
                       [perm.__getitem__ for perm in self.perms], self.order)
         if len(tree) != self.order:
             raise OracleError(f"generators reach {len(tree)} of {self.order}")
-        return self.perms, tree
+        return tree
 
     @cached_property
     def generator_maps(self) -> tuple:
@@ -273,7 +272,7 @@ class GroupView:
         x -> g.x, x -> x.g^-1 and x -> g.x.g^-1, read off the regular
         representation with no matrix product: along each tree edge
         x = y.g_k, g.x = (g.y).g_k, and right_inv inverts g's permutation."""
-        perms, tree = self.regular
+        perms, tree = self.perms, self.regular
         maps = []
         for perm in perms:
             left = [perm[self.index[self.identity]]] * self.order   # the root is g
@@ -292,7 +291,7 @@ class GroupView:
         tree by a depth-first walk over the targets' paths.
         """
         index = self.index
-        perms, tree = self.regular
+        perms, tree = self.perms, self.regular
         root = index[self.identity]
         wanted = {index[g]: g for g in targets}
         children: dict = {}   # the targets' paths, as parent -> children

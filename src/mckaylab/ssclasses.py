@@ -1,6 +1,7 @@
 """Semisimple conjugacy classes of GL_n(q) and GU_n(q), combinatorially.
 
-A semisimple class is a multiset of eigenvalue orbits.  Writing eq for
+A semisimple class is a multiset of eigenvalue orbits, held as the sorted
+tuple of its ((k, e), multiplicity) pairs.  Writing eq for
 the signed field size (q in the linear case, -q in the unitary case),
 the eigenvalues of degree k live in a cyclic group of order
 M_k = |q^k - eps^k| = |eq^k - 1|, encoded as Z/M_k, and the Frobenius
@@ -13,17 +14,8 @@ k" excludes the embedded ones.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
 
 from .exactfield import SignedPrimePower, cycles, factor_field, group_order
-
-Label = tuple[int, int]
-
-
-class SSClass(NamedTuple):
-    """Multiset of eigenvalue orbits: sorted ((k, e), multiplicity) pairs."""
-
-    factors: tuple
 
 
 @cache
@@ -51,7 +43,7 @@ def eq_orbits(k: int, sp: SignedPrimePower) -> tuple:
     return tuple(least), tuple(size)
 
 
-def canonical_label(k: int, e: int, sp: SignedPrimePower) -> Label:
+def canonical_label(k: int, e: int, sp: SignedPrimePower) -> tuple:
     """Minimal member of the multiplication-by-eq orbit of e in Z/M_k."""
     least, _ = eq_orbits(k, sp)
     return (k, least[e % len(least)])
@@ -93,10 +85,10 @@ def enumerate_ss_classes(n: int, sp: SignedPrimePower) -> tuple:
     """All semisimple classes of the rank-n group, canonically sorted: the
     multisets of labels whose degrees times multiplicities sum to n."""
     labels = [(k, e) for k in range(1, n + 1) for e in labels_of_degree(k, sp)]
-    return tuple(sorted(map(SSClass, multisets(labels, [k for k, _ in labels], n))))
+    return tuple(sorted(multisets(labels, [k for k, _ in labels], n)))
 
 
-def centralizer_type(cls: SSClass) -> tuple:
+def centralizer_type(cls: tuple) -> tuple:
     """The sorted (orbit degree, multiplicity) pairs of the class.
 
     The centralizer of a semisimple element with a degree-k eigenvalue
@@ -104,7 +96,7 @@ def centralizer_type(cls: SSClass) -> tuple:
     unitary group over the degree-k extension, with sign eps^k; so these
     pairs fix the centralizer up to isomorphism.
     """
-    return tuple(sorted((k, m) for (k, _), m in cls.factors))
+    return tuple(sorted((k, m) for (k, _), m in cls))
 
 
 def centralizer_order(ctype: tuple, sp: SignedPrimePower) -> int:
@@ -115,7 +107,7 @@ def centralizer_order(ctype: tuple, sp: SignedPrimePower) -> int:
     return out
 
 
-def norm_exponent(cls: SSClass, sp: SignedPrimePower) -> int:
+def norm_exponent(cls: tuple, sp: SignedPrimePower) -> int:
     """Determinant of the class as an exponent in Z/M_1.
 
     A degree-k orbit through e has determinant e * (1 + eq + ... +
@@ -125,27 +117,23 @@ def norm_exponent(cls: SSClass, sp: SignedPrimePower) -> int:
     """
     m1 = eigen_modulus(1, sp)
     out = 0
-    for (k, e), m in cls.factors:
+    for (k, e), m in cls:
         sign = sp.eps ** (k + 1)
         out += m * sign * e
     return out % m1
 
 
-def translated_factors(factors, sp: SignedPrimePower, z: int) -> list:
+def zhat_translate(factors, sp: SignedPrimePower, z: int) -> tuple:
     """The ((k, e), x) factors with each label multiplied by the central
-    eigenvalue with exponent z, sorted; translation permutes the distinct
-    labels of a class, so the sort never compares two x."""
+    eigenvalue with exponent z, sorted: a class goes to its translate.
+    Translation permutes the distinct labels of a class, so the sort never
+    compares two x."""
     m1 = eigen_modulus(1, sp)
     new = []
     for (k, e), x in factors:
         new.append((canonical_label(k, e + z * (eigen_modulus(k, sp) // m1), sp), x))
     new.sort()
-    return new
-
-
-def zhat_translate(cls: SSClass, sp: SignedPrimePower, z: int) -> SSClass:
-    """Multiply the class by the central eigenvalue with exponent z."""
-    return SSClass(tuple(translated_factors(cls.factors, sp, z)))
+    return tuple(new)
 
 
 def pgl_ss_classes(n: int, sp: SignedPrimePower) -> tuple:

@@ -417,7 +417,7 @@ def test_type_level_columns_equal_the_per_character_routines(n, eps, q):
         rep = first.setdefault(char_type(chi), chi)
         assert deg == degree(chi, n, sp)
         centralizer = 1
-        for (k, _), m in chi.cls.factors:
+        for (k, _), m in chi.cls:
             centralizer *= group_order(m, factor_field(k, sp))
         assert index_order(centralizer_type(chi.cls), n, sp) \
             == group_order(n, sp) // centralizer

@@ -10,7 +10,6 @@ from mckaylab.matrixoracle import build_group
 from mckaylab.charparams import (
     GlobalChar,
     _factors_ellprime,
-    central_char,
     count_ellprime,
     count_irr_sl,
     count_jordan_params,
@@ -24,7 +23,14 @@ from mckaylab.charparams import (
     to_params,
     zhat_act,
 )
-from mckaylab.ssclasses import SSClass, centralizer_type, eigen_modulus
+from mckaylab.ssclasses import (
+    canonical_label,
+    centralizer_type,
+    eigen_modulus,
+    enumerate_ss_classes,
+    norm_exponent,
+    zhat_translate,
+)
 from test_ssclasses import component_group
 
 ORACLE_CASES = [
@@ -84,8 +90,8 @@ def test_tensor_action_properties():
         for z in range(m1):
             moved = zhat_act(chi, sp, z)
             assert degree(moved, 2, sp) == degree(chi, 2, sp)
-            assert central_char(moved, sp) \
-                == (central_char(chi, sp) + 2 * z) % m1
+            assert norm_exponent(moved.cls, sp) \
+                == (norm_exponent(chi.cls, sp) + 2 * z) % m1
 
 
 @pytest.mark.parametrize("n,eps,q", [
@@ -98,6 +104,25 @@ def test_tensor_translation_is_an_action(n, eps, q):
         for a in range(m1):
             for b in range(m1):
                 assert zhat_act(moved[a], sp, b) == moved[(a + b) % m1]
+
+
+@pytest.mark.parametrize("n,eps,q", [
+    (n, eps, q) for n in (1, 2, 3) for eps in (1, -1) for q in (2, 3, 4)])
+def test_tensor_action_translates_the_class_and_carries_the_partitions(n, eps, q):
+    sp = spp(eps, q)
+    m1 = eigen_modulus(1, sp)
+    assert all(type(cls) is tuple for cls in enumerate_ss_classes(n, sp))
+    for chi in enumerate_irr(n, sp):
+        assert type(chi.cls) is tuple
+        for z in range(m1):
+            moved = zhat_act(chi, sp, z)
+            assert type(moved.cls) is tuple
+            assert moved.cls == zhat_translate(chi.cls, sp, z)
+            # the factor with label (k, e) moves to the label of (k, e + z.M_k/M_1)
+            want = {canonical_label(k, e + z * (eigen_modulus(k, sp) // m1), sp):
+                    (m, lam) for ((k, e), m), lam in zip(chi.cls, chi.parts)}
+            assert {lab: (m, lam) for (lab, m), lam in zip(moved.cls, moved.parts)} \
+                == want
 
 
 @pytest.mark.parametrize("images,m1", [
@@ -181,7 +206,7 @@ def test_relevance_definitions_agree(n, eps, q, ell):
 
 def from_params(data: dict) -> GlobalChar:
     """Inverse of to_params."""
-    cls = SSClass(tuple(((k, e), m) for k, e, m in data["factors"]))
+    cls = tuple(((k, e), m) for k, e, m in data["factors"])
     return GlobalChar(cls, tuple(tuple(p) for p in data["parts"]))
 
 

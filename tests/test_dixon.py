@@ -100,7 +100,7 @@ def test_power_walks_give_orders_and_inverse_classes(view):
 def test_table_reads_only_positions_once_the_regular_representation_exists():
     G = build_group("GL", 3, 2)
     fresh = fresh_view(G)
-    fresh.regular   # a walk over the permutations that the build recorded
+    fresh.regular   # the tree of words over the permutations that the build recorded
 
     def refuse(*args):
         raise AssertionError("dixon multiplied matrices")

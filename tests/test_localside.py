@@ -4,7 +4,6 @@ import pytest
 
 from mckaylab.exactfield import spp
 from mckaylab.charparams import (
-    central_char,
     degree,
     enumerate_irr,
     global_relevant,
@@ -23,6 +22,7 @@ from mckaylab.localside import (
     transport,
 )
 from mckaylab.charparams import count_ellprime
+from mckaylab.ssclasses import norm_exponent
 
 
 def test_torus_data_shapes():
@@ -137,7 +137,7 @@ def test_transport_on_rank_two_cell():
               if local_relevant(psi, n, sp, ell)}
     assert set(images) == target
     for chi, psi in zip(rel, images):
-        assert central_char(chi, sp) == local_central_label(psi, n, sp, ell)
+        assert norm_exponent(chi.cls, sp) == local_central_label(psi, n, sp, ell)
 
 
 def test_transport_commutes_with_translation():

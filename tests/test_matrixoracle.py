@@ -289,7 +289,7 @@ def test_right_perms_are_right_multiplication_on_positions(view):
         assert perm == [index[x] for x in map(view.right(z), view.elements)]
     # the view keeps the generators' permutations and a tree of words
     # (position -> (parent, generator number)), nothing per target
-    perms, tree = view.regular
+    perms, tree = view.perms, view.regular
     assert perms == tuple(tuple(index[x] for x in map(view.right(g), view.elements))
                           for g in view.generators)
     root = index[view.identity]

@@ -8,8 +8,7 @@ A method or property of a module-level class (dunders excluded) counts as
 read when its name is read somewhere in src/ outside its own body. The check
 goes by name only, so a dead member whose name is also read for something
 else stays hidden: `CycContext.sub` and `CycContext.neg` (read as
-`FiniteField.sub`/`neg`) and `SSClass.rank` (read as a local variable) were
-found by hand. No member is allowlisted.
+`FiniteField.sub`/`neg`) were found by hand. No member is allowlisted.
 """
 
 import ast

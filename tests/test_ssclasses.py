@@ -8,7 +8,6 @@ from mckaylab import ssclasses
 from mckaylab.exactfield import CertificateError, spp
 from mckaylab.matrixoracle import build_group
 from mckaylab.ssclasses import (
-    SSClass,
     canonical_label,
     centralizer_order,
     centralizer_type,
@@ -26,7 +25,7 @@ SP_GL2F2 = spp(1, 2)
 SP_GU2 = spp(-1, 2)
 
 
-def component_group(cls: SSClass, sp) -> tuple:
+def component_group(cls: tuple, sp) -> tuple:
     """Central translations fixing the class, a subgroup of Z/M_1, by
     direct search.
 
@@ -38,12 +37,12 @@ def component_group(cls: SSClass, sp) -> tuple:
     return tuple(z for z in range(m1) if zhat_translate(cls, sp, z) == cls)
 
 
-def identity_class(n: int) -> SSClass:
-    return SSClass((((1, 0), n),))
+def identity_class(n: int) -> tuple:
+    return (((1, 0), n),)
 
 
-def is_central(cls: SSClass) -> bool:
-    return len(cls.factors) == 1 and cls.factors[0][0][0] == 1
+def is_central(cls: tuple) -> bool:
+    return len(cls) == 1 and cls[0][0][0] == 1
 
 
 def test_class_counts():
@@ -84,7 +83,7 @@ def test_identity_class_is_central_with_full_centralizer():
 def test_norm_exponent_of_order_four_pair():
     # the degree-2 label containing {i, -i}: eigenvalue product is 1
     cls = [c for c in enumerate_ss_classes(2, SP_GL3)
-           if c.factors == (((2, 2), 1),)][0]
+           if c == (((2, 2), 1),)][0]
     assert norm_exponent(cls, SP_GL3) == 0
 
 
@@ -113,7 +112,7 @@ def test_component_group_orders():
     central = identity_class(2)
     assert component_group(central, SP_GL3) == (0,)
     mixed = [c for c in enumerate_ss_classes(2, SP_GL3)
-             if len(c.factors) == 2][0]
+             if len(c) == 2][0]
     assert len(component_group(mixed, SP_GL3)) == 2
 
 
