@@ -88,17 +88,28 @@ def symmetry_ok(counts: list) -> bool:
 def sweep_parity_symmetry(nmax: int) -> int:
     """Check both properties for every partition of every n <= nmax.
 
-    Returns the number of partitions checked; raises on any failure.
+    Walks each largest part t's partitions on a stack, adding or removing one
+    part's strip of weight_counts(lam) less its n-t end zeros (which change
+    neither property).  Returns the number checked; raises on any failure.
     """
     checked = 0
-    for n in range(1, nmax + 1):
-        for lam in partitions(n):
-            counts = weight_counts(lam)
+    for t in range(1, nmax + 1):
+        counts, parts, s = [0] * (2 * t - 1), [], t
+        while s:
+            for i in range(t - s, t + s - 1, 2):
+                counts[i] += 1
+            parts.append(s)
             if not parity_ok(counts):
-                raise CertificateError(f"odd e_1 at {lam}")
+                raise CertificateError(f"odd e_1 at {tuple(parts)}")
             if not symmetry_ok(counts):
-                raise CertificateError(f"asymmetric weights at {lam}")
+                raise CertificateError(f"asymmetric weights at {tuple(parts)}")
             checked += 1
+            s = min(s, nmax - sum(parts))
+            while not s and len(parts) > 1:   # lower the last part above 1
+                s = parts.pop()
+                for i in range(t - s, t + s - 1, 2):
+                    counts[i] -= 1
+                s -= 1
     return checked
 
 
@@ -223,6 +234,14 @@ def check_representative(lam: tuple, q: int) -> bool:
     return jordan_type(rep_unipotent(lam), F) == tuple(sorted(lam, reverse=True))
 
 
+def _row_exponents(row_sets: tuple, exact2: tuple, v, F) -> list:
+    """e_i(r) for each row r of each R_i; psi_v(g) sums e_i over g's rows."""
+    p, traces, mul = F.p, _traces(F), F.mul
+    return [[-sum(traces[mul(row[j], v[i][j])]
+                  for a, j in exact2 if a == i and v[i][j]) % p for row in rows]
+            for i, rows in enumerate(row_sets)]
+
+
 def check_homomorphism(lam: tuple, q: int) -> int:
     """psi_u is multiplicative on U_2^F; returns |U_2| times the number of
     partners h.
@@ -241,17 +260,14 @@ def check_homomorphism(lam: tuple, q: int) -> int:
     F = build_field(sp.p, sp.m)
     row_sets = u2_rows(lam, F)
     els = tuple(product(*row_sets))
-    u, exact2 = rep_unipotent(lam), exact2_positions(lam)
-    p, traces, mul = F.p, _traces(F), F.mul
-    row_exps = [[-sum(traces[mul(row[j], u[i][j])]
-                      for a, j in exact2 if a == i and u[i][j]) % p for row in rows]
-                for i, rows in enumerate(row_sets)]
+    u, exact2, p = rep_unipotent(lam), exact2_positions(lam), F.p
+    row_exps = _row_exponents(row_sets, exact2, u, F)
     if ([psi_exponent(F, exact2, u, g) for g in els]
             != [sum(es) % p for es in product(*row_exps)]):
         raise CertificateError(f"psi_u is not the sum of its rows at {lam}, q={q}")
     row_ids = [{row: k for k, row in enumerate(rows)} for rows in row_sets]
-    partners = els if len(els) <= HOM_EXHAUSTIVE_LIMIT else u2_generators(lam, F)
-    maps = []
+    walk, maps = len(els) > HOM_EXHAUSTIVE_LIMIT, []
+    partners = u2_generators(lam, F) if walk else els
     for h in partners:
         ids = list(map(dict.get, row_ids, h))
         if None in ids:
@@ -266,49 +282,52 @@ def check_homomorphism(lam: tuple, q: int) -> int:
             if len(shifts) > 1:
                 break
             excess -= shifts.pop()
-            images.append(image)
+            if walk:
+                images.append(image)
         if len(shifts) > 1 or excess % p:
             raise CertificateError(f"psi_u not multiplicative at {lam}, q={q}")
-        maps.append(lambda g, images=images: tuple(map(list.__getitem__, images, g)))
-    if partners is not els:
-        # elements as tuples of row ids; the identity's rows come first
-        if len(_orbit((0,) * len(row_sets), maps, len(els))) != len(els):
-            raise CertificateError(f"the partners do not generate U_2 at {lam}, q={q}")
+        if walk:
+            maps.append(lambda g, images=images: tuple(map(list.__getitem__, images, g)))
+    # elements as tuples of row ids; the identity's rows come first
+    if walk and len(_orbit((0,) * len(row_sets), maps, len(els))) != len(els):
+        raise CertificateError(f"the partners do not generate U_2 at {lam}, q={q}")
     return len(els) * len(partners)
 
 
 def check_equivariance(lam: tuple, q: int) -> int:
     """psi_u(g) = psi_{sigma(u)}(sigma(g)) for the field and graph twists.
 
-    Each twisted element must lie in U_2 again.  One inversion serves each
-    pair g, g^-1: with h = (g^T)^-1 = (g^-1)^T, gamma(g) is the signed
-    reversal of h and gamma(g^-1) that of g^T.  Returns the number of
-    (sigma, g) evaluations certified.
+    Each twisted element must lie in U_2 again, read as row ids (Frobenius
+    twists each R_i once), and psi sums _row_exponents.  One inversion serves
+    each pair g, g^-1: with h = (g^T)^-1 = (g^-1)^T, gamma(g) is the signed
+    reversal of h and gamma(g^-1) that of g^T.  Returns 2 |U_2|.
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
-    els = u2_elements(lam, F)
-    u, exact2 = rep_unipotent(lam), exact2_positions(lam)
-    exps = {g: psi_exponent(F, exact2, u, g) for g in els}
-    gammas = {}
+    row_sets = u2_rows(lam, F)
+    row_ids = [{row: k for k, row in enumerate(rows)} for rows in row_sets]
+    u, exact2, p = rep_unipotent(lam), exact2_positions(lam), F.p
+    els = tuple(product(*row_sets))
+    gammas, ids_of = {}, lambda m: tuple(map(dict.get, row_ids, m))
     for g in els:
         if g not in gammas:
             gt = tuple(zip(*g))
             h = mat_inv(gt, F)
-            gammas[g] = signed_reversal(h, F)
+            gammas[g] = ids_of(signed_reversal(h, F))
             if (g_inv := tuple(zip(*h))) != g:
-                gammas[g_inv] = signed_reversal(gt, F)
-    checked = 0
-    for tu, twist in ((frobenius_twist(u, F), lambda g: frobenius_twist(g, F)),
-                      (gamma_twist(u, F), gammas.__getitem__)):
-        for g, e in exps.items():
-            tg = twist(g)
-            if tg not in exps:
+                gammas[g_inv] = ids_of(signed_reversal(gt, F))
+    exps = [sum(es) % p for es in product(*_row_exponents(row_sets, exact2, u, F))]
+    frob = product(*(map(index.get, frobenius_twist(rows, F))
+                     for rows, index in zip(row_sets, row_ids)))
+    for tu, twisted in ((frobenius_twist(u, F), frob),
+                        (gamma_twist(u, F), map(gammas.__getitem__, els))):
+        twisted_exps = _row_exponents(row_sets, exact2, tu, F)
+        for e, ids in zip(exps, twisted):
+            if None in ids:
                 raise CertificateError(f"a twist leaves U_2 at {lam}, q={q}")
-            if psi_exponent(F, exact2, tu, tg) != e:
+            if sum(map(list.__getitem__, twisted_exps, ids)) % p != e:
                 raise CertificateError(f"equivariance fails at {lam}, q={q}")
-            checked += 1
-    return checked
+    return 2 * len(els)
 
 
 def check_gamma_conjugacy(lam: tuple, q: int):

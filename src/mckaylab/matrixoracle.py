@@ -562,10 +562,10 @@ def frobenius_twist(g: Matrix, F: FiniteField) -> Matrix:
 def signed_reversal(h: Matrix, F: FiniteField) -> Matrix:
     """v0 . h . v0^(-1) = (-1)^(i+j) h[n-1-i][n-1-j] for the antidiagonal
     v0 = form_matrix, with entries (-1)^i in row i."""
-    neg = F.neg
-    return tuple(
-        tuple(x if (i + j) % 2 == 0 else neg(x) for j, x in enumerate(reversed(row)))
-        for i, row in enumerate(reversed(h)))
+    neg, out = F.neg, [list(row[::-1]) for row in h[::-1]]
+    for i, row in enumerate(out):
+        row[1 - i % 2::2] = map(neg, row[1 - i % 2::2])
+    return tuple(map(tuple, out))
 
 
 def gamma_twist(g: Matrix, F: FiniteField) -> Matrix:

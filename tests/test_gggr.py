@@ -1,12 +1,15 @@
 """Generalized Gelfand-Graev data: weights, representatives, multiplicities."""
 
+import ast
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from mckaylab import gggr, matrixoracle
 from mckaylab.exactfield import CertificateError, build_field, spp
-from mckaylab.matrixoracle import OracleError, build_group, gamma_twist
+from mckaylab.matrixoracle import (OracleError, build_group, frobenius_twist,
+                                   gamma_twist)
 from mckaylab.partitions import partitions
 
 
@@ -34,8 +37,41 @@ def test_level_counts():
 
 
 def test_parity_and_symmetry_sweep_small():
-    assert gggr.sweep_parity_symmetry(12) == sum(
-        len(partitions(n)) for n in range(1, 13))
+    for nmax in range(1, 17):
+        assert gggr.sweep_parity_symmetry(nmax) == sum(
+            len(partitions(n)) for n in range(1, nmax + 1))
+
+
+def test_sweep_passes_each_partition_its_trimmed_weight_list(monkeypatch):
+    # the k-th call of parity_ok rejects, so the error names the partition
+    # the sweep stands at; the list passed must be its weight list with the
+    # n - t zeros trimmed from each end, t the largest part
+    named = set()
+    for k in range(gggr.sweep_parity_symmetry(12)):
+        passed = []
+
+        def parity(counts):
+            passed.append(list(counts))
+            return len(passed) <= k
+
+        monkeypatch.setattr(gggr, "parity_ok", parity)
+        with pytest.raises(CertificateError, match="odd e_1 at ") as err:
+            gggr.sweep_parity_symmetry(12)
+        lam = ast.literal_eval(str(err.value).removeprefix("odd e_1 at "))
+        n, t = sum(lam), lam[0]
+        assert passed[-1] == gggr.weight_counts(lam)[n - t:n + t - 1], lam
+        named.add(lam)
+    assert named == {lam for n in range(1, 13) for lam in partitions(n)}
+
+
+@pytest.mark.parametrize("name,message", [("parity_ok", "odd e_1 at (1,)"),
+                                          ("symmetry_ok",
+                                           "asymmetric weights at (1,)")])
+def test_sweep_failure_names_the_first_partition(monkeypatch, name, message):
+    monkeypatch.setattr(gggr, name, lambda counts: False)
+    with pytest.raises(CertificateError) as err:
+        gggr.sweep_parity_symmetry(6)
+    assert str(err.value) == message
 
 
 def test_parity_and_symmetry_reject_bad_weights():
@@ -184,6 +220,44 @@ def test_equivariance_fails_on_a_twist_that_leaves_u2(monkeypatch):
                         lambda g, F: ((g[0][0], 1),) + g[1:])
     with pytest.raises(CertificateError, match="leaves U_2"):
         gggr.check_equivariance((2,), 3)
+
+
+def test_equivariance_fails_on_a_gamma_image_that_leaves_u2(monkeypatch):
+    # sets the (0, 1) entry of every gamma(g), above the diagonal
+    real = gggr.signed_reversal
+    monkeypatch.setattr(gggr, "signed_reversal",
+                        lambda h, F: ((real(h, F)[0][0], 1),) + real(h, F)[1:])
+    with pytest.raises(CertificateError, match="leaves U_2"):
+        gggr.check_equivariance((2,), 3)
+
+
+def test_equivariance_fails_on_a_gamma_image_moved_inside_u2(monkeypatch):
+    # adds 1 at the level-2 position (1, 0): gamma(g) stays in U_2, but
+    # psi_{gamma(u)} reads that entry, and gamma(u) = u is 1 there
+    real = gggr.signed_reversal
+
+    def moved(h, F):
+        (a, b), (c, d) = real(h, F)
+        return (a, b), ((c + 1) % 3, d)
+
+    monkeypatch.setattr(gggr, "signed_reversal", moved)
+    with pytest.raises(CertificateError, match="equivariance fails"):
+        gggr.check_equivariance((2,), 3)
+
+
+@pytest.mark.parametrize("lam,q", [((2,), 3), ((2, 1), 3), ((3,), 4),
+                                   ((2, 2), 3), ((3, 1), 4), ((4,), 2)])
+def test_row_exponents_sum_to_psi_for_the_twisted_representatives(lam, q):
+    sp = spp(1, q)
+    F = build_field(sp.p, sp.m)
+    row_sets = gggr.u2_rows(lam, F)
+    u, exact2 = gggr.rep_unipotent(lam), gggr.exact2_positions(lam)
+    row_ids = tuple(product(*(range(len(rows)) for rows in row_sets)))
+    for v in (u, frobenius_twist(u, F), gamma_twist(u, F)):
+        exps = gggr._row_exponents(row_sets, exact2, v, F)
+        assert [sum(map(list.__getitem__, exps, ids)) % F.p for ids in row_ids] \
+            == [gggr.psi_exponent(F, exact2, v, g)
+                for g in gggr.u2_elements(lam, F)]
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])

@@ -372,6 +372,18 @@ def test_gamma_twist_is_conjugation_by_the_form(kind, n, q):
         assert gamma_twist(g, F) == mat_mul(mat_mul(v0, h, F), v0_inv, F)
 
 
+@pytest.mark.parametrize("lam,q", [((3, 1), 4), ((4,), 3), ((3,), 3)])
+def test_signed_reversal_is_conjugation_by_the_form(lam, q):
+    # n = 4 over GF(4) and GF(3), and n = 3 over GF(3), where the signs
+    # of odd n and odd characteristic meet
+    F = build_field(*{3: (3, 1), 4: (2, 2)}[q])
+    v0 = form_matrix(sum(lam), F)
+    v0_inv = mat_inv(v0, F)
+    for h in gggr.u2_elements(lam, F):
+        assert matrixoracle.signed_reversal(h, F) == mat_mul(
+            mat_mul(v0, h, F), v0_inv, F)
+
+
 def test_closure_raises_past_its_limit():
     G = build_group("GL", 2, 3)
     kept, elements, perms = closure(G.generators, G.right, G.identity, limit=48)
