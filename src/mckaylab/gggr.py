@@ -33,11 +33,11 @@ from .matrixoracle import (
     gamma_twist,
     identity_matrix,
     mat_det,
-    mat_inv,
     mat_mul,
     mat_rank,
     signed_reversal,
     subgroup_closure,
+    unitriangular_inv,
 )
 
 HOM_EXHAUSTIVE_LIMIT = 1000
@@ -187,22 +187,42 @@ def psi_exponent(F, exact2: tuple, u_mat, g) -> int:
                 if u_mat[i][j]) % F.p
 
 
+def _free_columns(lam: tuple) -> list:
+    """The columns of each row's level >= 2 positions, ascending."""
+    pos = u2_positions(lam)
+    return [[j for a, j in pos if a == i] for i in range(sum(lam))]
+
+
+def _row_images(h, i: int, cols: list, F) -> tuple:
+    """h_i + sum x_c h_c = (e_i + sum x_c e_c).h for x over GF(q)^cols in
+    product order: R_i for h = I, its images for any h.  Each column of the
+    result grows by one scaled entry of h per free column c of row i."""
+    add_table, mul_table, field = F.add_table, F.mul_table, range(F.size)
+    out = []
+    for j, first in enumerate(h[i]):
+        col = [first]
+        for c in cols:
+            if not (y := h[c][j]):
+                col = [v for v in col for _ in field]
+            elif add_table is None:   # past the table limit
+                col = [F.add(v, F.mul(x, y)) for v in col for x in field]
+            else:
+                col = [a[m] for a in map(add_table.__getitem__, col)
+                       for m in mul_table[y]]
+        out.append(col)
+    return tuple(zip(*out))
+
+
 def u2_rows(lam: tuple, F) -> tuple:
     """The rows of U_2 at each row position, in the lexicographic order of
     their entries at u2_positions(lam).  U_2, every I + X with X supported
     on the level >= 2 positions, is their product, and a group: products
     only spill into higher levels."""
-    pos = u2_positions(lam)
-    if F.size ** len(pos) > U2_SIZE_LIMIT:
+    free = _free_columns(lam)
+    if F.size ** sum(map(len, free)) > U2_SIZE_LIMIT:
         raise OracleError("U_2 too large to enumerate")
-    n = sum(lam)
-    row_sets = []
-    for i in range(n):
-        cols = [j for a, j in pos if a == i]
-        row_sets.append(tuple(
-            tuple(dict(zip(cols, vals)).get(j, int(i == j)) for j in range(n))
-            for vals in product(range(F.size), repeat=len(cols))))
-    return tuple(row_sets)
+    one = identity_matrix(len(free))
+    return tuple(_row_images(one, i, cols, F) for i, cols in enumerate(free))
 
 
 def u2_elements(lam: tuple, F) -> tuple:
@@ -248,17 +268,17 @@ def check_homomorphism(lam: tuple, q: int) -> int:
 
     U_2 is the product of its row sets R_i, psi_u the sum of row exponents
     e_i (checked against psi_exponent on every element), and row i of g.h
-    is row_i(g).h.  So g.h lies in U_2 with psi(g.h) = psi(g) + psi(h) for
-    every g exactly when h maps each R_i into R_i with e_i(r.h) - e_i(r)
-    one constant c_i, and the c_i sum to psi(h): a sum over a product set
-    is constant only when each summand is.  The partners are all of U_2 up
-    to HOM_EXHAUSTIVE_LIMIT elements, else the one-position generators of
-    u2_generators, whose _orbit from the identity, on tuples of row ids, must
-    be all of U_2.
+    is row_i(g).h, which _row_images gives for all of R_i.  So g.h lies in
+    U_2 with psi(g.h) = psi(g) + psi(h) for every g exactly when h maps
+    each R_i into R_i with e_i(r.h) - e_i(r) one constant c_i, and the c_i
+    sum to psi(h): a sum over a product set is constant only when each
+    summand is.  The partners are all of U_2 up to HOM_EXHAUSTIVE_LIMIT
+    elements, else the one-position generators of u2_generators, whose
+    _orbit from the identity, on tuples of row ids, must be all of U_2.
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
-    row_sets = u2_rows(lam, F)
+    row_sets, free = u2_rows(lam, F), _free_columns(lam)
     els = tuple(product(*row_sets))
     u, exact2, p = rep_unipotent(lam), exact2_positions(lam), F.p
     row_exps = _row_exponents(row_sets, exact2, u, F)
@@ -272,10 +292,10 @@ def check_homomorphism(lam: tuple, q: int) -> int:
         ids = list(map(dict.get, row_ids, h))
         if None in ids:
             raise CertificateError(f"a partner lies outside U_2 at {lam}, q={q}")
-        kernel, images = _row_kernel(h, F), []
+        images = []
         excess = sum(map(list.__getitem__, row_exps, ids))   # psi(h) - sum c_i
-        for rows, index, es in zip(row_sets, row_ids, row_exps):
-            image = [index.get(kernel(row)) for row in rows]
+        for i, (index, es) in enumerate(zip(row_ids, row_exps)):
+            image = list(map(index.get, _row_images(h, i, free[i], F)))
             if None in image:
                 raise CertificateError(f"a product leaves U_2 at {lam}, q={q}")
             shifts = {(es[t] - e) % p for t, e in zip(image, es)}
@@ -298,9 +318,9 @@ def check_equivariance(lam: tuple, q: int) -> int:
     """psi_u(g) = psi_{sigma(u)}(sigma(g)) for the field and graph twists.
 
     Each twisted element must lie in U_2 again, read as row ids (Frobenius
-    twists each R_i once), and psi sums _row_exponents.  One inversion serves
-    each pair g, g^-1: with h = (g^T)^-1 = (g^-1)^T, gamma(g) is the signed
-    reversal of h and gamma(g^-1) that of g^T.  Returns 2 |U_2|.
+    twists each R_i once), and psi sums _row_exponents.  One unitriangular
+    inversion serves each pair g, g^-1: with h = (g^T)^-1 = (g^-1)^T, gamma(g)
+    is the signed reversal of h and gamma(g^-1) that of g^T.  Returns 2 |U_2|.
     """
     sp = spp(1, q)
     F = build_field(sp.p, sp.m)
@@ -312,7 +332,7 @@ def check_equivariance(lam: tuple, q: int) -> int:
     for g in els:
         if g not in gammas:
             gt = tuple(zip(*g))
-            h = mat_inv(gt, F)
+            h = unitriangular_inv(gt, F)
             gammas[g] = ids_of(signed_reversal(h, F))
             if (g_inv := tuple(zip(*h))) != g:
                 gammas[g_inv] = ids_of(signed_reversal(gt, F))

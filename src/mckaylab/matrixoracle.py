@@ -15,6 +15,7 @@ from itertools import islice, permutations, product
 from typing import NamedTuple
 
 from .exactfield import (
+    CertificateError,
     FiniteField,
     SignedPrimePower,
     build_field,
@@ -118,14 +119,9 @@ def right_mul(b: Matrix, F: FiniteField):
     return lambda a: tuple(map(images.__getitem__, a))
 
 
-def _gauss_jordan(rows: list, ncols: int, F: FiniteField) -> tuple[int, int]:
-    """Gauss-Jordan reduction of rows in place, pivoting on the first ncols.
-
-    Returns (rank, det): det is the determinant of the leading square block,
-    0 when that block is singular.  Tabled fields scale and subtract rows by
-    reading the multiplication and addition tables; larger fields use
-    F.mul and F.add.
-    """
+def _row_ops(F: FiniteField) -> tuple:
+    """(scaled, plus_scaled): c.row and row + c.other.  Tabled fields read
+    the multiplication and addition tables; larger fields use F.mul and F.add."""
     if F.mul_table is not None:
         add_table, mul_table = F.add_table, F.mul_table
 
@@ -144,7 +140,16 @@ def _gauss_jordan(rows: list, ncols: int, F: FiniteField) -> tuple[int, int]:
 
         def plus_scaled(row, c, other):
             return [add(x, mul(c, y)) for x, y in zip(row, other)]
+    return scaled, plus_scaled
 
+
+def _gauss_jordan(rows: list, ncols: int, F: FiniteField) -> tuple[int, int]:
+    """Gauss-Jordan reduction of rows in place, pivoting on the first ncols.
+
+    Returns (rank, det): det is the determinant of the leading square block,
+    0 when that block is singular.
+    """
+    scaled, plus_scaled = _row_ops(F)
     rank, det = 0, 1
     for col in range(ncols):
         for pivot in range(rank, len(rows)):
@@ -176,6 +181,22 @@ def mat_inv(a: Matrix, F: FiniteField) -> Matrix:
     if _gauss_jordan(aug, n, F)[0] < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def unitriangular_inv(a: Matrix, F: FiniteField) -> Matrix:
+    """a^-1 for an upper unitriangular a by back substitution, with no pivot
+    search, row scaling or augmented matrix: row i of a^-1 is e_i minus
+    a[i][k] times row k for each k > i.  CertificateError on any other a."""
+    n, plus_scaled, inv = len(a), _row_ops(F)[1], []   # inv holds rows n-1, n-2, ...
+    for i in reversed(range(n)):
+        if a[i][i] != 1 or any(a[i][:i]):
+            raise CertificateError("the matrix is not upper unitriangular")
+        row = [0] * i + [1] + [0] * (n - 1 - i)
+        for c, later in zip(a[i][i + 1:], reversed(inv)):
+            if c:
+                row = plus_scaled(row, F.neg(c), later)
+        inv.append(tuple(row))
+    return tuple(reversed(inv))
 
 
 def mat_det(a: Matrix, F: FiniteField) -> int:
@@ -562,9 +583,11 @@ def frobenius_twist(g: Matrix, F: FiniteField) -> Matrix:
 def signed_reversal(h: Matrix, F: FiniteField) -> Matrix:
     """v0 . h . v0^(-1) = (-1)^(i+j) h[n-1-i][n-1-j] for the antidiagonal
     v0 = form_matrix, with entries (-1)^i in row i."""
-    neg, out = F.neg, [list(row[::-1]) for row in h[::-1]]
-    for i, row in enumerate(out):
-        row[1 - i % 2::2] = map(neg, row[1 - i % 2::2])
+    out = [list(row[::-1]) for row in h[::-1]]
+    if F.p != 2:   # in characteristic 2 negation is the identity
+        neg = F.neg if F.neg_table is None else F.neg_table.__getitem__
+        for i, row in enumerate(out):
+            row[1 - i % 2::2] = map(neg, row[1 - i % 2::2])
     return tuple(map(tuple, out))
 
 

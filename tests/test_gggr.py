@@ -199,10 +199,59 @@ def test_homomorphism_fails_on_a_partner_outside_u2(monkeypatch):
 
 
 def test_homomorphism_fails_on_a_product_outside_u2(monkeypatch):
-    # reversing each row sends the first row (1, 0) to (0, 1), no row of U_2
-    monkeypatch.setattr(gggr, "_row_kernel", lambda h, F: lambda row: row[::-1])
+    # reversing each image row sends the first row (1, 0) to (0, 1), no row
+    # of U_2; the row sets themselves, the images under I, stay as they are
+    real, one = gggr._row_images, matrixoracle.identity_matrix(2)
+
+    def reversed_images(h, i, cols, F):
+        images = real(h, i, cols, F)
+        return images if h == one else tuple(row[::-1] for row in images)
+
+    monkeypatch.setattr(gggr, "_row_images", reversed_images)
     with pytest.raises(CertificateError, match="product leaves"):
         gggr.check_homomorphism((2,), 3)
+
+
+@pytest.mark.parametrize("lam,q", [((2, 1), 3), ((3,), 4), ((2, 2), 3), ((2,), 131)])
+def test_row_images_are_the_rows_times_h(lam, q):
+    # GF(4) reads the field tables, GF(131) is past them and uses F.add/F.mul
+    sp = spp(1, q)
+    F = build_field(sp.p, sp.m)
+    row_sets, free = gggr.u2_rows(lam, F), gggr._free_columns(lam)
+    for h in gggr.u2_elements(lam, F):
+        kernel = matrixoracle._row_kernel(h, F)
+        for i, rows in enumerate(row_sets):
+            assert gggr._row_images(h, i, free[i], F) == tuple(map(kernel, rows))
+
+
+def test_homomorphism_past_the_table_limit():
+    assert gggr.check_homomorphism((2,), 131) == 131 ** 2
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call to fn, wherever it is bound."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod in (gggr, matrixoracle):
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_certificates_use_no_general_kernel_or_inverse_per_element(monkeypatch):
+    # the general inverse runs once, for gamma_twist(u); the row products
+    # never go through _row_kernel
+    inversions = _count_calls(monkeypatch, matrixoracle.mat_inv)
+    kernels = _count_calls(monkeypatch, matrixoracle._row_kernel)
+    gggr.check_equivariance((3, 1), 4)
+    assert len(inversions) == 1
+    gggr.check_homomorphism((3, 1), 3)
+    assert kernels == []
 
 
 @pytest.mark.parametrize("lam,q", [
@@ -241,6 +290,15 @@ def test_equivariance_fails_on_a_gamma_image_moved_inside_u2(monkeypatch):
         return (a, b), ((c + 1) % 3, d)
 
     monkeypatch.setattr(gggr, "signed_reversal", moved)
+    with pytest.raises(CertificateError, match="equivariance fails"):
+        gggr.check_equivariance((2,), 3)
+
+
+def test_equivariance_fails_on_a_wrong_unitriangular_inverse(monkeypatch):
+    # the identity is unitriangular but the inverse of no other element, so
+    # every gamma(g) becomes I, where psi_{gamma(u)} is 0
+    monkeypatch.setattr(gggr, "unitriangular_inv",
+                        lambda a, F: matrixoracle.identity_matrix(len(a)))
     with pytest.raises(CertificateError, match="equivariance fails"):
         gggr.check_equivariance((2,), 3)
 

@@ -12,7 +12,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from mckaylab import gggr, matrixoracle
 from mckaylab.bijection import explicit_torus
-from mckaylab.exactfield import build_field, ell_part, prime_factors
+from mckaylab.exactfield import (CertificateError, build_field, ell_part,
+                                 prime_factors)
 from mckaylab.matrixoracle import (
     OracleError,
     build_group,
@@ -32,6 +33,7 @@ from mckaylab.matrixoracle import (
     subgroup_closure,
     subgroup_view,
     sylow_subgroup,
+    unitriangular_inv,
 )
 
 KNOWN = {
@@ -372,16 +374,43 @@ def test_gamma_twist_is_conjugation_by_the_form(kind, n, q):
         assert gamma_twist(g, F) == mat_mul(mat_mul(v0, h, F), v0_inv, F)
 
 
-@pytest.mark.parametrize("lam,q", [((3, 1), 4), ((4,), 3), ((3,), 3)])
+@pytest.mark.parametrize("lam,q", [((3, 1), 4), ((4,), 3), ((3,), 3), ((3,), 5)])
 def test_signed_reversal_is_conjugation_by_the_form(lam, q):
-    # n = 4 over GF(4) and GF(3), and n = 3 over GF(3), where the signs
-    # of odd n and odd characteristic meet
-    F = build_field(*{3: (3, 1), 4: (2, 2)}[q])
+    # n = 4 over GF(4) and GF(3), and n = 3 over GF(3) and GF(5), where the
+    # signs of odd n and odd characteristic meet
+    F = build_field(*{3: (3, 1), 4: (2, 2), 5: (5, 1)}[q])
     v0 = form_matrix(sum(lam), F)
     v0_inv = mat_inv(v0, F)
     for h in gggr.u2_elements(lam, F):
         assert matrixoracle.signed_reversal(h, F) == mat_mul(
             mat_mul(v0, h, F), v0_inv, F)
+
+
+@pytest.mark.parametrize("lam,q", [((3, 1), 4), ((4,), 3), ((2, 2), 3)])
+def test_unitriangular_inv_matches_mat_inv_on_transposed_u2(lam, q):
+    F = build_field(*{3: (3, 1), 4: (2, 2)}[q])
+    for g in gggr.u2_elements(lam, F):
+        gt = tuple(zip(*g))
+        assert unitriangular_inv(gt, F) == mat_inv(gt, F)
+
+
+def test_unitriangular_inv_past_the_table_limit():
+    # GF(131) has no tables: the row operations use F.mul and F.add
+    F = build_field(131, 1)
+    rng = random.Random(131)
+    for _ in range(20):
+        a = tuple(tuple(int(i == j) if j <= i else rng.randrange(131)
+                        for j in range(4)) for i in range(4))
+        assert unitriangular_inv(a, F) == mat_inv(a, F)
+
+
+@pytest.mark.parametrize("a", [((1, 1), (0, 2)), ((1, 0), (1, 1)),
+                               ((2, 1, 0), (0, 1, 0), (0, 0, 1)),
+                               ((1, 0, 0), (0, 1, 0), (0, 1, 1))])
+def test_unitriangular_inv_refuses_other_matrices(a):
+    # a diagonal entry 2, or a nonzero entry below the diagonal
+    with pytest.raises(CertificateError, match="not upper unitriangular"):
+        unitriangular_inv(a, build_field(3, 1))
 
 
 def test_closure_raises_past_its_limit():
